@@ -25,75 +25,64 @@ tier3:
 	go run ./tools/tracecheck -progress .tier3-progress.jsonl
 	rm -f .tier3-trace.json .tier3-progress.jsonl
 
-# The tier-1 contract under the race detector.
-tier1-race:
-	go build ./...
-	go test -race ./...
+# Tiers 4-8 run smoke runs and artefact gates only: tier 2 already runs
+# every package's tests under the race detector.
 
-# Tier-4: conformance gate — golden benchmark audits, the differential
-# serial-vs-parallel oracle, the route brute-force oracle, a conformance-
-# checked synthesis run, and a short smoke of every native fuzzer.
-# Override FUZZTIME to fuzz longer (e.g. make tier4 FUZZTIME=5m).
+# Tier-4: conformance gate — a conformance-checked synthesis run and a
+# short smoke of every native fuzzer. Override FUZZTIME to fuzz longer
+# (e.g. make tier4 FUZZTIME=5m).
 FUZZTIME ?= 10s
 tier4:
-	go test -race ./internal/verify/ ./internal/route/ ./internal/assays/ ./internal/sim/
 	go run ./cmd/mfsynth -case PCR -mode greedy -verify >/dev/null
 	go test -run '^$$' -fuzz FuzzParseAssay -fuzztime $(FUZZTIME) ./internal/assays/
 	go test -run '^$$' -fuzz FuzzRouteOracle -fuzztime $(FUZZTIME) ./internal/route/
 	go test -run '^$$' -fuzz FuzzPipeline -fuzztime $(FUZZTIME) ./internal/verify/
+	go test -run '^$$' -fuzz FuzzTelemetry -fuzztime $(FUZZTIME) ./internal/fleet/
+	go test -run '^$$' -fuzz FuzzJobRequest -fuzztime $(FUZZTIME) ./internal/serve/
+	go test -run '^$$' -fuzz FuzzFaultSpec -fuzztime $(FUZZTIME) ./internal/fault/
 
-# Tier-5: fault-injection gate — the fault/cancellation unit suites under
-# the race detector, the zero-fault bit-identity and stuck-closed property
-# tests, a verified single-run injection smoke, and a seeded campaign over
-# all four benchmarks (each run conformance-audited, success rate gated).
-# Override CAMPAIGN_RUNS / FAULT_RATE for a longer sweep.
+# Tier-5: fault-injection gate — a verified single-run injection smoke
+# and a seeded campaign over all four benchmarks (each run
+# conformance-audited, success rate gated). Override CAMPAIGN_RUNS /
+# FAULT_RATE for a longer sweep.
 CAMPAIGN_RUNS ?= 6
 FAULT_RATE ?= 0.05
 tier5:
-	go test -race ./internal/fault/ ./internal/synerr/
-	go test -race -run 'Cancel|MaxRipups' ./internal/core/
-	go test -race -run 'TestStuckClosedNeverUsed|TestZeroFaultsBitIdentical|TestDegradedPartialConforms' ./internal/verify/
 	go run ./cmd/mfsynth -case PCR -mode greedy -fault-seed 7 -fault-rate $(FAULT_RATE) -verify >/dev/null
 	go run ./cmd/mfbench -campaign $(CAMPAIGN_RUNS) -fault-rate $(FAULT_RATE) -fast -verify -min-success 0.5
 
-# Tier-6: service gate — the serve suites (queue, cache, coalescing,
-# admission, drain, HTTP/SSE) plus the in-process load test under the race
-# detector, and the daemon's build-and-SIGTERM drain test. LOAD_JOBS sets
-# the concurrent-submission count of the load test (duplicate ratio 50%).
+# Tier-6: service gate — the in-process load test at LOAD_JOBS concurrent
+# submissions (duplicate ratio 50%) and the daemon's build-and-SIGTERM
+# drain test, then a build of the daemon and the load generator.
 LOAD_JOBS ?= 200
 tier6:
-	MFSERVE_LOAD_JOBS=$(LOAD_JOBS) go test -race ./internal/serve/ ./cmd/mfserved/
+	MFSERVE_LOAD_JOBS=$(LOAD_JOBS) go test -run 'TestLoad|TestGracefulDrain' ./internal/serve/ ./cmd/mfserved/
 	go build ./cmd/mfserved ./tools/loadgen
 
-# Tier-7: portfolio gate — the annealing mapper's property suites
-# (seed determinism across worker counts, accepted-state conformance,
-# cost/report agreement fuzz) and the backend-race suites (deadline
-# incumbent, dead-context failure, deterministic tiebreak, the
-# no-incumbent rescue acceptance test) under the race detector, then a
-# smoke ablation over the generated corpus whose artefact must pass the
-# anneal-vs-ILP quality gate (anneal within 10% of the ILP's peak
-# pressure wherever the ILP completes). Override ABLATION_DEADLINE for
-# a longer per-cell budget.
+# Tier-7: backend gate — a smoke ablation over the generated corpus whose
+# artefact must pass the anneal-vs-ILP quality gate (anneal within 10% of
+# the ILP's peak pressure wherever the ILP completes). Override
+# ABLATION_DEADLINE for a longer per-cell budget.
 ABLATION_DEADLINE ?= 30s
 tier7:
-	go test -race ./internal/anneal/
-	go test -race -run 'TestRace|TestPortfolio|TestSingleBackend|TestPickWinner|TestParseBackends|TestBackendOptions' ./internal/core/
 	go run ./cmd/mfbench -ablation -ablation-deadline $(ABLATION_DEADLINE) -ablation-out .tier7-ablation.json
 	go run ./tools/benchgate -ablation .tier7-ablation.json
 	rm -f .tier7-ablation.json
 
-# Tier-8: fleet gate — the fleet wear-loop suites under the race detector
-# (closed-loop-outlives-static, campaign determinism, the promoted-valve
-# placement property, telemetry round-trip/errors), then a smoke campaign
-# at the committed defaults whose artefact must pass internal validity
-# (closed strictly outlives static, non-vacuous death, re-syntheses
-# happened) and reproduce the committed BENCH_fleet.json fingerprint
-# bit-identically.
+# Tier-8: fleet gate — a smoke campaign at the committed defaults whose
+# artefact must pass internal validity (closed strictly outlives static,
+# non-vacuous death, re-syntheses happened) and reproduce the committed
+# BENCH_fleet.json fingerprint bit-identically.
 tier8:
-	go test -race ./internal/fleet/
 	go run ./cmd/mfbench -fleet -fleet-out .tier8-fleet.json
 	go run ./tools/benchgate -fleet .tier8-fleet.json -fleet-baseline BENCH_fleet.json
 	rm -f .tier8-fleet.json
+
+# The benchmark (perfbench/) is its own module, so tiers 1-2 never compile
+# it: vet it and run its smoke test, which drives every workload at
+# minimum size.
+perfbench:
+	cd perfbench && go vet . && go test .
 
 # Serial-vs-parallel engine benchmarks (ns/op and allocs/op per worker count).
 bench-parallel:
@@ -135,4 +124,4 @@ bench-gate:
 		-overhead .bench-overhead.txt
 	rm -f .bench-mfbench .bench-fresh.json .bench-fresh-micro.txt .bench-overhead.txt .bench-progress.jsonl
 
-.PHONY: tier1 tier1-race tier2 tier3 tier4 tier5 tier6 tier7 tier8 bench-parallel bench-json bench bench-gate
+.PHONY: tier1 tier2 tier3 tier4 tier5 tier6 tier7 tier8 perfbench bench-parallel bench-json bench bench-gate

@@ -503,8 +503,8 @@ func printTable1(ctx context.Context, fast bool, workers int, jsonOut string, do
 
 // printAblation runs the backend-ablation sweep (-ablation): every
 // instance synthesised once per backend under the same deadline, so the
-// anytime portfolio's rungs can be compared head to head. The JSON
-// artefact (-ablation-out) feeds tools/benchgate -ablation.
+// producers can be compared head to head. The JSON artefact
+// (-ablation-out) feeds tools/benchgate -ablation.
 func printAblation(ctx context.Context, out string, deadline time.Duration, sizesCSV, casesCSV string, seed int64, workers int, doVerify bool, tr *mfsynth.Trace) {
 	sizes, err := parseSizes(sizesCSV)
 	if err != nil {
@@ -721,21 +721,25 @@ type table1JSON struct {
 }
 
 type table1Row struct {
-	Case           string  `json:"case"`
-	Policy         int     `json:"policy"`
-	Ops            string  `json:"ops"`
-	NumDevices     int     `json:"num_devices"`
-	MixVector      string  `json:"mix_vector"`
-	VsTmax         int     `json:"vs_tmax"`
-	TradValves     int     `json:"trad_valves"`
-	Vs1Max         int     `json:"vs1_max"`
-	Vs1Pump        int     `json:"vs1_pump"`
-	Imp1Pct        float64 `json:"imp1_pct"`
-	Vs2Max         int     `json:"vs2_max"`
-	Vs2Pump        int     `json:"vs2_pump"`
-	Imp2Pct        float64 `json:"imp2_pct"`
-	OurValves      int     `json:"our_valves"`
-	ImpVPct        float64 `json:"impv_pct"`
+	Case       string  `json:"case"`
+	Policy     int     `json:"policy"`
+	Ops        string  `json:"ops"`
+	NumDevices int     `json:"num_devices"`
+	MixVector  string  `json:"mix_vector"`
+	VsTmax     int     `json:"vs_tmax"`
+	TradValves int     `json:"trad_valves"`
+	Vs1Max     int     `json:"vs1_max"`
+	Vs1Pump    int     `json:"vs1_pump"`
+	Imp1Pct    float64 `json:"imp1_pct"`
+	Vs2Max     int     `json:"vs2_max"`
+	Vs2Pump    int     `json:"vs2_pump"`
+	Imp2Pct    float64 `json:"imp2_pct"`
+	OurValves  int     `json:"our_valves"`
+	ImpVPct    float64 `json:"impv_pct"`
+	// Backend names the producer whose mapping the row reports.
+	Backend string `json:"backend"`
+	// FailedRoutes counts the row's unrouted transports (0 = complete).
+	FailedRoutes   int     `json:"failed_routes"`
 	RuntimeSeconds float64 `json:"runtime_seconds"`
 	// PhaseSeconds splits the runtime over the synthesis pipeline phases
 	// ("schedule", "place", "route").
@@ -773,6 +777,8 @@ func writeTable1JSON(path string, rows []*mfsynth.Table1Row, opts mfsynth.Table1
 			Imp2Pct:        r.Imp2,
 			OurValves:      r.OurValves,
 			ImpVPct:        r.ImpV,
+			Backend:        r.Backend,
+			FailedRoutes:   r.FailedRoutes,
 			RuntimeSeconds: r.Runtime.Seconds(),
 			PhaseSeconds:   r.Phases,
 		})

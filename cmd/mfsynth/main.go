@@ -46,10 +46,10 @@ func main() {
 		faultFile  = flag.String("faults", "", "fault-spec file: defective valves the synthesis must work around")
 		faultSeed  = flag.Int64("fault-seed", 0, "generate a random fault set with this seed (with -fault-rate)")
 		faultRate  = flag.Float64("fault-rate", 0, "per-valve defect probability for -fault-seed (e.g. 0.05)")
-		backends   = flag.String("backends", "", "anytime backend portfolio in priority order, e.g. ilp,greedy,anneal (empty = single pipeline per -mode)")
+		backends   = flag.String("backends", "", "nominal mapping producers in priority order, e.g. ilp,greedy,anneal (empty = per -mode: rolling runs ilp,greedy)")
 		annealSeed = flag.Int64("anneal-seed", 0, "simulated-annealing base seed (0 = default 1; same seed, same mapping)")
 		annealReps = flag.Int("anneal-replicates", 0, "simulated-annealing restarts (0 = default 8)")
-		deadline   = flag.Duration("deadline", 0, "synthesis wall-clock budget, e.g. 30s (0 = none); with -backends the portfolio returns its best result by then")
+		deadline   = flag.Duration("deadline", 0, "synthesis wall-clock budget, e.g. 30s (0 = none); a producer still running then forfeits to those that finished")
 	)
 	flag.Parse()
 
@@ -201,9 +201,7 @@ func main() {
 		} else if !faults.Empty() {
 			fmt.Printf("  degradation:       none (nominal result despite faults)\n")
 		}
-		if res.Backend != "" {
-			fmt.Printf("  backend:           %s\n", res.Backend)
-		}
+		fmt.Printf("  backend:           %s\n", res.Backend)
 		if res.Race != nil {
 			for _, l := range res.Race.Lanes {
 				mark := " "
@@ -211,7 +209,8 @@ func main() {
 					mark = "*"
 				}
 				if l.Ok {
-					fmt.Printf("   %s %-7s vs_max1 %-4d %.2fs\n", mark, l.Backend, l.VsMax1, l.Seconds)
+					fmt.Printf("   %s %-7s vs_max1 %-4d vs_max2 %-4d #v %-4d unrouted %d %.2fs\n",
+						mark, l.Backend, l.VsMax1, l.VsMax2, l.UsedValves, l.FailedRoutes, l.Seconds)
 				} else {
 					fmt.Printf("   %s %-7s failed: %s\n", mark, l.Backend, l.Err)
 				}

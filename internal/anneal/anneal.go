@@ -17,7 +17,7 @@
 //
 // The mapper is anytime: cancellation cuts replicates at their next poll
 // and the best incumbent found so far is returned, which is what lets the
-// portfolio racer in internal/core collect a result from an expired
+// candidate selection in internal/core collect a result from an expired
 // deadline instead of an error.
 package anneal
 
@@ -250,10 +250,7 @@ func MapCtx(ctx context.Context, res *schedule.Result, cfg Config) (*place.Mappi
 	}
 	stats.Best = best.bestCost
 
-	m := inst.Finish(best.bestFixed, place.Stats{
-		Mode:      place.Annealed,
-		RCRelaxed: best.bestCost.RCRelaxed,
-	})
+	m := inst.Finish(best.bestFixed, place.Stats{RCRelaxed: best.bestCost.RCRelaxed})
 	// Defensive audit: admissible-built states are violation-free by
 	// construction; a non-zero count here would mean the Instance contract
 	// broke, and silently returning the mapping would poison downstream

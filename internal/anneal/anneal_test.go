@@ -148,7 +148,7 @@ func TestAcceptedStatesConformant(t *testing.T) {
 		sample = append(sample, accepted[len(accepted)-1])
 	}
 	for i, fixed := range sample {
-		m := inst.Finish(fixed, place.Stats{Mode: place.Annealed})
+		m := inst.Finish(fixed, place.Stats{})
 		if n := inst.StorageViolations(m); n > 0 {
 			t.Fatalf("state %d: %d storage violations", i, n)
 		}

@@ -23,7 +23,7 @@ func cancelled() context.Context {
 
 // TestSynthesizeCtxCancelled: a pre-cancelled context must return promptly
 // with an ErrDeadline-compatible error from the first phase, not burn
-// through the degradation ladder or produce a partial result.
+// through the fallback tiers or produce a partial result.
 func TestSynthesizeCtxCancelled(t *testing.T) {
 	c := assays.PCR()
 	res, err := SynthesizeCtx(cancelled(), c.Assay, Options{

@@ -82,16 +82,15 @@ type Options struct {
 	// MaxRipups bounds the rip-up & re-route attempts per net
 	// (Algorithm 1 L13-L17). Default 8.
 	MaxRipups int
-	// DisableDegradation turns off the graceful-degradation ladder: only
-	// the configured mapper runs, and its failure is the run's failure.
-	// Failed routes and wear overruns are still reported either way.
+	// DisableDegradation keeps the nominal candidates only: when all of
+	// them fail, so does the run. Failed routes and wear overruns are
+	// still reported either way.
 	DisableDegradation bool
-	// Backends, when it lists two or more backends, races one full
-	// pipeline per backend concurrently under the caller's context and
-	// returns the best result by (completeness, VsMax1, VsMax2,
-	// UsedValves), ties broken by list order — the anytime portfolio. A
-	// single entry runs that backend alone; empty means the classic
-	// single pipeline with Place.Mode as configured.
+	// Backends lists the nominal mapping producers, in tie-break priority
+	// order. Each one maps, routes and simulates concurrently under the
+	// caller's context and the best result by Cost wins. Empty means the
+	// place mode's list: ilp,greedy for RollingHorizon, ilp for
+	// Monolithic, greedy for Greedy.
 	Backends []Backend
 	// Anneal tunes the simulated-annealing backend (used only when
 	// Backends lists "anneal"); zero fields mean the anneal defaults.
@@ -110,9 +109,6 @@ type Options struct {
 	// only when WearBias > 0. An explicitly set Place.WearPrior takes
 	// precedence.
 	WearCounts []int
-	// mapper overrides the first ladder rung's mapper (set by
-	// backendOptions for the anneal lane; nil means place.MapCtx).
-	mapper func(ctx context.Context, sched *schedule.Result, cfg place.Config) (*place.Mapping, error)
 }
 
 // withDefaults resolves the derived option defaults shared by every
@@ -221,25 +217,28 @@ type Result struct {
 	// is itemised in Degradation.FailedNets.
 	FailedRoutes int
 	// Degradation is non-nil when the run deviated from nominal in any
-	// way: a fallback rung of the mapper was used, operations were
-	// dropped, nets went unrouted, or wear-out valves were promoted. Nil
-	// on every clean run, so nominal results are unchanged bit for bit.
+	// way: a fallback tier of the candidate list produced the result,
+	// operations were dropped, nets went unrouted, or wear-out valves were
+	// promoted. Nil on every clean run, so nominal results are unchanged
+	// bit for bit.
 	Degradation *Degradation
 	// Runtime is the wall-clock synthesis time.
 	Runtime time.Duration
 	// PhaseSeconds is the wall-clock time spent in each pipeline phase
-	// (keys "schedule", "place", "route"), accumulated over wear-promotion
-	// rounds. Route time includes the actuation simulation.
+	// (keys "schedule", "place", "route"), accumulated over candidate
+	// tiers and wear-promotion rounds; the phases sum to at most Runtime.
+	// "place" runs until the last candidate of a tier has its mapping, so
+	// it covers every candidate's mapping time; route time includes the
+	// actuation simulation.
 	PhaseSeconds map[string]float64
-	// Backend names the backend that produced this result when
-	// Options.Backends was set ("ilp", "greedy" or "anneal"); empty for
-	// the classic single pipeline.
+	// Backend names the producer of the returned mapping ("ilp", "greedy"
+	// or "anneal").
 	Backend string
-	// Race is the portfolio outcome, non-nil only when two or more
-	// backends raced.
+	// Race reports the nominal candidates when there were two or more.
 	Race *RaceReport
 
-	opts Options
+	opts  Options
+	route routeObs
 }
 
 // Options returns the effective options of the run, with defaults applied
@@ -264,13 +263,17 @@ const maxWearRounds = 4
 // anywhere in the pipeline is recovered and returned as an error — a
 // synthesis call never takes the process down.
 //
+// The assay is scheduled once; the mapping is then chosen from a tiered
+// candidate list (see tiers): every candidate of a tier is mapped, routed
+// and simulated concurrently and the best result under Cost wins, and a
+// later tier runs only when the whole earlier tier failed. A fallback
+// tier's result reports its rung and the failed candidates in
+// Result.Degradation rather than hiding them behind an error.
+//
 // With Options.Faults set, mapping and routing avoid the defective valves,
 // and wear-out cells whose simulated actuation count exceeds their
-// threshold are promoted to obstacles and the synthesis re-runs (bounded by
-// maxWearRounds). When the configured mapper cannot produce a result, a
-// degradation ladder backs off — relaxed couplings, then greedy, then
-// best-effort partial mapping — and the accepted rung is reported in
-// Result.Degradation rather than hidden behind an error.
+// threshold are promoted to obstacles and the selection re-runs (bounded
+// by maxWearRounds).
 func SynthesizeCtx(ctx context.Context, a *graph.Assay, opts Options) (res *Result, err error) {
 	start := time.Now()
 	opts = opts.withDefaults()
@@ -290,53 +293,40 @@ func SynthesizeCtx(ctx context.Context, a *graph.Assay, opts Options) (res *Resu
 		root.End()
 	}()
 
-	backends, err := normalizeBackends(opts.Backends)
+	ts, err := tiers(opts)
 	if err != nil {
 		return nil, err
 	}
-	switch len(backends) {
-	case 0:
-		res, err = synthesizeOne(ctx, a, opts, root)
-	case 1:
-		res, err = synthesizeOne(ctx, a, backendOptions(opts, backends[0]), root)
-		if res != nil {
-			res.Backend = string(backends[0])
-		}
-	default:
-		res, err = synthesizeRace(ctx, a, opts, backends, root)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.Runtime = time.Since(start)
-	// The Done pulse is published exactly once, here — never by the
-	// per-backend pipelines, whose early completion must not end a
-	// progress stream while other race lanes still run.
-	opts.Trace.ProgressBus().Update(func(p *obs.Progress) { p.Done = true })
-	return res, nil
-}
+	pc := &phaseClock{bus: opts.Trace.ProgressBus(), assay: a.Name, secs: map[string]float64{}}
 
-// synthesizeOne runs the classic single pipeline: the wear-promotion
-// loop around schedule→place→route→simulate. It neither applies option
-// defaults nor publishes the final Done pulse — SynthesizeCtx owns both,
-// so race lanes can call this concurrently.
-func synthesizeOne(ctx context.Context, a *graph.Assay, opts Options, root *obs.Span) (res *Result, err error) {
-	// Wear-promotion loop: synthesize, simulate the actuation counts,
-	// promote over-threshold wear-out valves to obstacles, repeat.
+	t0 := time.Now()
+	pc.enter("schedule")
+	schedSp := root.Start("schedule")
+	var sched *schedule.Result
+	phaseDo(ctx, "schedule", func(ctx context.Context) {
+		sched, err = schedule.ListCtx(ctx, a, schedule.Options{
+			TransportDelay: opts.TransportDelay,
+			Resources:      opts.Policy,
+			Obs:            schedSp,
+		})
+	})
+	schedSp.End()
+	pc.secs["schedule"] = time.Since(t0).Seconds()
+	if err != nil {
+		return nil, err
+	}
+
+	// Wear-promotion loop: select, simulate the actuation counts, promote
+	// over-threshold wear-out valves to obstacles, repeat.
 	working := opts.Faults
 	var worn []grid.Point
-	var phaseAcc map[string]float64
 	for round := 0; ; round++ {
-		attemptOpts := opts
-		attemptOpts.Faults = working
-		res, err = synthesizeAttempt(ctx, a, attemptOpts, root)
+		roundOpts := opts
+		roundOpts.Faults = working
+		res, err = selectResult(ctx, a, sched, roundOpts, ts, root, pc)
 		if err != nil {
 			return nil, err
 		}
-		for k, v := range phaseAcc {
-			res.PhaseSeconds[k] += v
-		}
-		phaseAcc = res.PhaseSeconds
 		over := wearExceeded(res, working)
 		if len(over) == 0 {
 			break
@@ -362,6 +352,11 @@ func synthesizeOne(ctx context.Context, a *graph.Assay, opts Options, root *obs.
 		})
 		res.degrade().WornValves = worn
 	}
+	res.recordRoute(root.Metrics())
+	pc.enter("sim") // re-announce with the final phase seconds
+	res.PhaseSeconds = pc.secs
+	res.Runtime = time.Since(start)
+	opts.Trace.ProgressBus().Update(func(p *obs.Progress) { p.Done = true })
 	return res, nil
 }
 
@@ -373,76 +368,48 @@ func phaseDo(ctx context.Context, phase string, f func(ctx context.Context)) {
 	pprof.Do(ctx, pprof.Labels("mf_phase", phase), f)
 }
 
-// synthesizeAttempt runs one schedule→place→route→simulate pass against a
-// fixed working fault set.
-func synthesizeAttempt(ctx context.Context, a *graph.Assay, opts Options, root *obs.Span) (*Result, error) {
-	bus := opts.Trace.ProgressBus()
-	phases := map[string]float64{}
-	// enterPhase announces the running phase on the progress bus with the
-	// per-phase seconds accumulated so far; the map is cloned per update
-	// (published snapshots are immutable, see obs.Progress).
-	enterPhase := func(name string) {
-		bus.Update(func(p *obs.Progress) {
-			p.Assay = a.Name
-			p.Phase = name
-			p.Done = false
-			cl := make(map[string]float64, len(phases))
-			for k, v := range phases {
-				cl[k] = v
-			}
-			p.Phases = cl
-		})
-	}
-
-	t0 := time.Now()
-	enterPhase("schedule")
-	schedSp := root.Start("schedule")
-	var sched *schedule.Result
-	var err error
-	phaseDo(ctx, "schedule", func(ctx context.Context) {
-		sched, err = schedule.ListCtx(ctx, a, schedule.Options{
-			TransportDelay: opts.TransportDelay,
-			Resources:      opts.Policy,
-			Obs:            schedSp,
-		})
-	})
-	schedSp.End()
-	phases["schedule"] = time.Since(t0).Seconds()
+// Complete routes and simulates an externally produced mapping against
+// the given schedule, yielding a full Result with the Table 1 metrics —
+// the downstream two thirds of the pipeline without the mapper. The
+// candidate selection completes every candidate mapping through the same
+// path, and the anneal property tests run every accepted annealing state
+// through it so verify.Conformance can audit states the normal flow never
+// surfaces.
+func Complete(ctx context.Context, a *graph.Assay, sched *schedule.Result, m *place.Mapping, opts Options) (*Result, error) {
+	opts = opts.withDefaults()
+	root := opts.Trace.Start("complete", obs.KV("assay", a.Name))
+	defer root.End()
+	start := time.Now()
+	res, err := complete(ctx, a, sched, m, opts, root, nil)
 	if err != nil {
 		return nil, err
 	}
+	res.recordRoute(root.Metrics())
+	res.Runtime = time.Since(start)
+	return res, nil
+}
 
-	t0 = time.Now()
-	enterPhase("place")
-	var mapping *place.Mapping
-	var deg *Degradation
-	phaseDo(ctx, "place", func(ctx context.Context) {
-		mapping, deg, err = placeLadder(ctx, sched, opts, root)
-	})
-	phases["place"] = time.Since(t0).Seconds()
-	if err != nil {
-		return nil, err
-	}
-
+// complete is Complete under a caller's span, announcing the route and
+// sim phases on pc (nil: no announcements).
+func complete(ctx context.Context, a *graph.Assay, sched *schedule.Result, m *place.Mapping, opts Options, sp *obs.Span, pc *phaseClock) (*Result, error) {
 	res := &Result{
-		Assay:       a,
-		Schedule:    sched,
-		Mapping:     mapping,
-		Grid:        opts.Place.Grid,
-		Degradation: deg,
-		opts:        opts,
+		Assay:    a,
+		Schedule: sched,
+		Mapping:  m,
+		Grid:     opts.Place.Grid,
+		opts:     opts,
 	}
-	if len(mapping.Dropped) > 0 {
+	if len(m.Dropped) > 0 {
 		d := res.degrade()
-		for _, op := range mapping.Dropped {
+		for _, op := range m.Dropped {
 			d.DroppedOps = append(d.DroppedOps, a.Op(op).Name)
 		}
 		d.escalate(DegradePartial)
 	}
 
-	t0 = time.Now()
-	enterPhase("route")
-	routeSp := root.Start("route")
+	pc.enter("route")
+	routeSp := sp.Start("route")
+	var err error
 	phaseDo(ctx, "route", func(ctx context.Context) {
 		err = res.routeAndSimulate(ctx, routeSp)
 	})
@@ -451,87 +418,14 @@ func synthesizeAttempt(ctx context.Context, a *graph.Assay, opts Options, root *
 		return nil, err
 	}
 
-	enterPhase("sim")
-	simSp := root.Start("sim")
+	pc.enter("sim")
+	simSp := sp.Start("sim")
 	phaseDo(ctx, "sim", func(context.Context) {
 		res.computeMetrics()
 	})
 	simSp.Set(obs.KV("events", len(res.Events)))
 	simSp.End()
-	phases["route"] = time.Since(t0).Seconds()
-	enterPhase("sim") // re-announce with the final route+sim seconds
-	res.PhaseSeconds = phases
 	return res, nil
-}
-
-// placeLadder maps the scheduled assay, backing off rung by rung when the
-// configured mapper fails: the full configuration first, then with the
-// storage-overlap and routing-convenient couplings dropped (the two
-// constraint families whose interaction causes repair divergence on tight
-// instances), then the greedy heuristic, and finally greedy in best-effort
-// mode, which drops unplaceable operations instead of failing. The first
-// rung that succeeds wins; any later rung yields a non-nil Degradation
-// listing the failed attempts. Cancellation aborts the ladder immediately
-// — a dead context would fail every rung for the wrong reason.
-func placeLadder(ctx context.Context, sched *schedule.Result, opts Options, root *obs.Span) (*place.Mapping, *Degradation, error) {
-	type rung struct {
-		name   string
-		level  DegradationLevel
-		mutate func(*place.Config)
-	}
-	rungs := []rung{
-		{"configured", DegradeNone, func(*place.Config) {}},
-		{"relaxed-couplings", DegradeRelaxed, func(c *place.Config) {
-			c.NoStorageOverlap = true
-			c.NoRoutingConvenient = true
-		}},
-		{"greedy", DegradeGreedy, func(c *place.Config) {
-			c.Mode = place.Greedy
-		}},
-		{"greedy-best-effort", DegradePartial, func(c *place.Config) {
-			c.Mode = place.Greedy
-			c.BestEffort = true
-		}},
-	}
-	if opts.DisableDegradation {
-		rungs = rungs[:1]
-	}
-	var attempts []Attempt
-	var firstErr error
-	for i, rg := range rungs {
-		cfg := opts.Place
-		if opts.Faults != nil {
-			cfg.Faults = opts.Faults // the working set, wear promotions included
-		}
-		rg.mutate(&cfg)
-		placeSp := root.Start("place", obs.KV("rung", rg.name))
-		cfg.Obs = placeSp
-		var mapping *place.Mapping
-		var err error
-		if i == 0 && opts.mapper != nil {
-			// The backend's own mapper owns the first rung (the anneal
-			// lane); the fallback rungs below stay place.MapCtx.
-			mapping, err = opts.mapper(ctx, sched, cfg)
-		} else {
-			mapping, err = place.MapCtx(ctx, sched, cfg)
-		}
-		placeSp.End()
-		if err == nil {
-			var deg *Degradation
-			if i > 0 {
-				deg = &Degradation{Level: rg.level, Attempts: attempts}
-			}
-			return mapping, deg, nil
-		}
-		if errors.Is(err, synerr.ErrDeadline) {
-			return nil, nil, err
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		attempts = append(attempts, Attempt{Rung: rg.name, Err: err.Error()})
-	}
-	return nil, nil, fmt.Errorf("core: every placement rung failed: %w", firstErr)
 }
 
 // wearExceeded simulates the result's full actuation horizon and returns
@@ -552,23 +446,16 @@ func wearExceeded(r *Result, fs *fault.Set) []grid.Point {
 	return out
 }
 
-// routeObs bundles the routing-phase instrument handles. Every field is
-// nil-safe, so the zero value (nil trace) adds only nil checks to the loop.
+// routeObs tallies one result's routing work. A run routes every
+// candidate's mapping but adds only the returned result's tallies to the
+// trace metrics (recordRoute), so the route_* counters describe the chips
+// a run returns.
 type routeObs struct {
-	nets       *obs.Counter
-	inPlace    *obs.Counter
-	failed     *obs.Counter
-	pops       *obs.Counter
-	ripups     *obs.Counter
-	crossings  *obs.Counter
-	wirelength *obs.Counter
-	pathLen    *obs.Histogram
-
-	// Live progress: the registry counters above are cumulative across a
-	// whole trace (e.g. all Table 1 cells), so the bus snapshot carries
-	// its own per-run tallies. All routing runs on one goroutine.
+	// run is the per-run tally the progress bus carries.
 	bus *obs.ProgressBus
 	run obs.RouteProgress
+	// pops and crossings complete the tally for the registry counters.
+	pops, crossings int64
 }
 
 // publish mirrors the per-run tallies onto the progress bus (fresh
@@ -581,6 +468,25 @@ func (ro *routeObs) publish() {
 	ro.bus.Update(func(p *obs.Progress) { p.Route = &run })
 }
 
+// recordRoute adds the result's routing tallies to the metrics registry
+// (nil-safe).
+func (r *Result) recordRoute(m *obs.Metrics) {
+	ro := &r.route
+	m.Counter("route_nets_total").Add(ro.run.Nets)
+	m.Counter("route_in_place_total").Add(ro.run.InPlace)
+	m.Counter("route_failed_total").Add(ro.run.Failed)
+	m.Counter("route_dijkstra_pops_total").Add(ro.pops)
+	m.Counter("route_ripups_total").Add(ro.run.Ripups)
+	m.Counter("route_crossings_total").Add(ro.crossings)
+	m.Counter("route_wirelength_total").Add(ro.run.Wirelength)
+	pathLen := m.Histogram("route_path_len", []float64{4, 8, 16, 32, 64})
+	for _, tr := range r.Transports {
+		if !tr.InPlace {
+			pathLen.Observe(float64(len(tr.Path)))
+		}
+	}
+}
+
 // routeAndSimulate builds the event log: pump events from the schedule and
 // control events from routing every transport (Algorithm 1 L10-L19).
 func (r *Result) routeAndSimulate(ctx context.Context, sp *obs.Span) error {
@@ -588,18 +494,8 @@ func (r *Result) routeAndSimulate(ctx context.Context, sp *obs.Span) error {
 	sched := r.Schedule
 	m := r.Mapping
 	chip := arch.NewChip(r.Grid, r.Grid)
-	mtr := sp.Metrics()
-	ro := &routeObs{
-		nets:       mtr.Counter("route_nets_total"),
-		inPlace:    mtr.Counter("route_in_place_total"),
-		failed:     mtr.Counter("route_failed_total"),
-		pops:       mtr.Counter("route_dijkstra_pops_total"),
-		ripups:     mtr.Counter("route_ripups_total"),
-		crossings:  mtr.Counter("route_crossings_total"),
-		wirelength: mtr.Counter("route_wirelength_total"),
-		pathLen:    mtr.Histogram("route_path_len", []float64{4, 8, 16, 32, 64}),
-		bus:        sp.Trace().ProgressBus(),
-	}
+	ro := &r.route
+	ro.bus = sp.Trace().ProgressBus()
 
 	// Pump events at operation start.
 	for id, pl := range m.Placements {
@@ -760,12 +656,10 @@ func (r *Result) routeStep(ctx context.Context, router *route.Router, t int, net
 		if err := ctx.Err(); err != nil {
 			return synerr.Deadline("route", err)
 		}
-		ro.nets.Inc()
 		ro.run.Nets++
 		// In-place transfer: the endpoints share cells (a storage that
 		// overlaps its parent device); the fluid is already in position.
 		if shared := sharedCells(n.from, n.to); len(shared) > 0 {
-			ro.inPlace.Inc()
 			ro.run.InPlace++
 			r.Transports = append(r.Transports, Transport{
 				T: t, From: n.fromName, To: n.toName,
@@ -803,10 +697,9 @@ func (r *Result) routeStep(ctx context.Context, router *route.Router, t int, net
 		}
 
 		path, err := r.routeNet(router, n, t, ro)
-		ro.pops.Add(int64(router.Pops))
+		ro.pops += int64(router.Pops)
 		if errors.Is(err, route.ErrNoPath) {
 			r.FailedRoutes++
-			ro.failed.Inc()
 			ro.run.Failed++
 			d := r.degrade()
 			d.FailedNets = append(d.FailedNets, FailedNet{
@@ -821,9 +714,7 @@ func (r *Result) routeStep(ctx context.Context, router *route.Router, t int, net
 		if err != nil {
 			return err
 		}
-		ro.pathLen.Observe(float64(len(path)))
-		ro.crossings.Add(int64(router.Crossings(path)))
-		ro.wirelength.Add(int64(len(path)))
+		ro.crossings += int64(router.Crossings(path))
 		ro.run.Wirelength += int64(len(path))
 		r.Transports = append(r.Transports, Transport{
 			T: t, From: n.fromName, To: n.toName,
@@ -867,7 +758,6 @@ func (r *Result) routeNet(router *route.Router, n net, t int, ro *routeObs) (rou
 			return path, nil
 		}
 		router.BlockStorage(violated)
-		ro.ripups.Inc()
 		ro.run.Ripups++
 	}
 	return nil, route.ErrNoPath

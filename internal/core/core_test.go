@@ -278,8 +278,8 @@ func TestSynthesizeDefaultGrid(t *testing.T) {
 
 func TestSynthesizeGridTooSmallForAssay(t *testing.T) {
 	// An 8x8 chip cannot hold the interpolating dilution. With the
-	// degradation ladder disabled that is a hard error; by default the
-	// ladder ends in a best-effort partial result that says what was lost.
+	// fallback tiers disabled that is a hard error; by default the last
+	// tier returns a best-effort partial result that says what was lost.
 	c := assays.InterpolatingDilution()
 	opts := Options{
 		Policy:             schedule.Resources{Mixers: c.BaseMixers},
@@ -293,7 +293,7 @@ func TestSynthesizeGridTooSmallForAssay(t *testing.T) {
 	opts.DisableDegradation = false
 	r, err := Synthesize(c.Assay, opts)
 	if err != nil {
-		t.Fatalf("degradation ladder did not rescue the 8x8 run: %v", err)
+		t.Fatalf("fallback tiers did not rescue the 8x8 run: %v", err)
 	}
 	if !r.Degraded() {
 		t.Fatal("8x8 run succeeded without a degradation report")

@@ -8,21 +8,21 @@ import (
 )
 
 // DegradationLevel classifies how far the synthesis had to back off from
-// the configured pipeline to produce a result. Levels are ordered: a higher
+// the nominal candidates to produce a result. Levels are ordered: a higher
 // level means a weaker guarantee.
 type DegradationLevel int
 
-// The degradation ladder, in escalation order.
+// The candidate tiers' levels, in escalation order.
 const (
-	// DegradeNone: the configured mapper succeeded as-is.
+	// DegradeNone: a nominal candidate succeeded.
 	DegradeNone DegradationLevel = iota
-	// DegradeRelaxed: the configured mapper succeeded only after dropping
+	// DegradeRelaxed: a nominal producer succeeded only after dropping
 	// the storage-overlap (c5) and routing-convenient ((13)-(16))
 	// couplings — the constraints whose interaction most often makes a
 	// tight instance infeasible or the repair loop diverge.
 	DegradeRelaxed
-	// DegradeGreedy: the ILP modes failed; the multi-start greedy mapper
-	// produced a complete but heuristic mapping.
+	// DegradeGreedy: every nominal and relaxed candidate failed; the
+	// multi-start greedy mapper produced a complete but heuristic mapping.
 	DegradeGreedy
 	// DegradePartial: the result is incomplete — operations were dropped
 	// (greedy best-effort) and/or transports could not be routed. The
@@ -44,9 +44,10 @@ func (l DegradationLevel) String() string {
 	return fmt.Sprintf("level(%d)", int(l))
 }
 
-// Attempt records one failed rung of the degradation ladder.
+// Attempt records one failed candidate of an earlier tier.
 type Attempt struct {
-	// Rung names the configuration that was tried.
+	// Rung names the candidate that was tried, e.g. "ilp" or
+	// "greedy-relaxed".
 	Rung string
 	// Err is the failure message.
 	Err string
@@ -72,9 +73,11 @@ func (f FailedNet) String() string {
 // instead of an opaque error. A nil *Degradation on a Result means the run
 // was nominal; the report never participates in result fingerprints.
 type Degradation struct {
-	// Level is the rung the pipeline ended on.
+	// Level is the tier the result came from, or DegradePartial when it
+	// is incomplete.
 	Level DegradationLevel
-	// Attempts lists the rungs that failed before the accepted one.
+	// Attempts lists the failed candidates of the tiers before the
+	// accepted one.
 	Attempts []Attempt
 	// FailedNets lists the unroutable transports (len == FailedRoutes).
 	FailedNets []FailedNet
@@ -89,14 +92,14 @@ type Degradation struct {
 }
 
 // String renders a one-line human summary, e.g.
-// "degraded(greedy-fallback): 2 attempts failed; 1 net unrouted".
+// "degraded(greedy-fallback): 2 candidate(s) failed; 1 net(s) unrouted".
 func (d *Degradation) String() string {
 	if d == nil {
 		return "nominal"
 	}
 	var parts []string
 	if len(d.Attempts) > 0 {
-		parts = append(parts, fmt.Sprintf("%d rung(s) failed", len(d.Attempts)))
+		parts = append(parts, fmt.Sprintf("%d candidate(s) failed", len(d.Attempts)))
 	}
 	if len(d.DroppedOps) > 0 {
 		parts = append(parts, fmt.Sprintf("%d op(s) dropped: %s", len(d.DroppedOps), strings.Join(d.DroppedOps, ",")))

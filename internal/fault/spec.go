@@ -27,7 +27,7 @@ import (
 //	wear-out 9 2 250
 
 // Parse reads a fault spec. Faults outside the declared grid (when a grid
-// header is present) are an error.
+// header is present, the last one counts) are an error.
 func Parse(r io.Reader) (*Set, error) {
 	s := NewSet(0)
 	sc := bufio.NewScanner(r)
@@ -83,9 +83,6 @@ func Parse(r io.Reader) (*Set, error) {
 					return nil, bad("bad wear-out threshold %q", fields[3])
 				}
 			}
-			if s.gridSize > 0 && (f.At.X >= s.gridSize || f.At.Y >= s.gridSize) {
-				return nil, bad("cell %s outside %dx%d grid", f.At, s.gridSize, s.gridSize)
-			}
 			// A Set holds at most one fault per cell, so a repeated
 			// coordinate would silently overwrite the earlier entry —
 			// almost certainly a spec-authoring mistake. Reject it,
@@ -101,6 +98,15 @@ func Parse(r io.Reader) (*Set, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("fault spec line %d: %w", lineno+1, err)
+	}
+	// Checked against the final header, wherever it stands: Write puts
+	// the header first, so a fault outside it would not parse back.
+	if g := s.gridSize; g > 0 {
+		for _, f := range s.Faults() {
+			if f.At.X >= g || f.At.Y >= g {
+				return nil, fmt.Errorf("fault spec line %d: cell %s outside %dx%d grid", firstLine[f.At], f.At, g, g)
+			}
+		}
 	}
 	return s, nil
 }

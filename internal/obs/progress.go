@@ -61,14 +61,14 @@ type AnnealProgress struct {
 	Accepted    int64   `json:"accepted"`
 }
 
-// RaceProgress is the live state of the anytime backend portfolio: one
-// lane per raced backend, in priority order. The slice is replace-only
+// RaceProgress is the live state of a tier of mapping candidates: one
+// lane per candidate, in priority order. The slice is replace-only
 // like every Progress sub-struct.
 type RaceProgress struct {
 	Backends []BackendLane `json:"backends"`
 }
 
-// BackendLane is one backend's state within a portfolio race.
+// BackendLane is one candidate's state within its tier.
 type BackendLane struct {
 	Backend string  `json:"backend"`
 	State   string  `json:"state"` // running, done, failed

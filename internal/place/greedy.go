@@ -50,14 +50,22 @@ type greedyState struct {
 }
 
 // solveGreedy is the standalone greedy mapper: a multi-start constructive
-// heuristic over all operations.
+// heuristic over all operations. When no main-phase variant places every
+// operation, the packing phase still may: the drop-tolerant run reaches
+// it, and its result is kept whenever it drops nothing.
 func (pr *problem) solveGreedy(sp *obs.Span) (*Mapping, error) {
 	fixed, info, err := pr.multiStartGreedy(sp, pr.ops, map[int]arch.Placement{}, pr.seedPump())
+	if err != nil && !pr.cfg.BestEffort {
+		tolerant := *pr
+		tolerant.cfg.BestEffort = true
+		if full, tinfo, terr := tolerant.multiStartGreedy(sp, pr.ops, map[int]arch.Placement{}, pr.seedPump()); terr == nil && len(full) == len(pr.ops) {
+			fixed, info, err = full, tinfo, nil
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	stats := Stats{Mode: Greedy, RCRelaxed: info.rcRelaxed}
-	return pr.finishMapping(fixed, stats), nil
+	return pr.finishMapping(fixed, Stats{RCRelaxed: info.rcRelaxed}), nil
 }
 
 // greedyInfo summarises a multi-start result.

@@ -211,7 +211,7 @@ func (pr *problem) solveBatch(free []int, fixed map[int]arch.Placement, pump map
 		// then fall back to pure greedy placements.
 		if res.Status == milp.Limit {
 			// The node budget ran out with no incumbent at all: the hard
-			// condition the anytime portfolio targets. Count it before the
+			// condition the other candidates exist for. Count it before the
 			// fallbacks mask it.
 			info.noIncumbent++
 		}

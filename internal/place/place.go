@@ -13,8 +13,11 @@
 //   - RollingHorizon (default): the same constraint system solved over
 //     batches of operations in device-creation order, with earlier
 //     placements fixed and their peristaltic load carried as constants.
-//   - Greedy: a constructive heuristic used as the solver incumbent and as
-//     an ablation baseline.
+//   - Greedy: a constructive heuristic used as the solver incumbent, as a
+//     candidate beside the ILP and as an ablation baseline.
+//
+// Each mode returns its own mapping; choosing between the mappings of
+// different producers is internal/core's job.
 //
 // The storage free-space repair loop of Algorithm 1 (L4-L9) wraps all
 // three: overlaps between a storage and a parent device that exceed the
@@ -48,10 +51,6 @@ const (
 	Monolithic
 	// Greedy places operations one by one without search.
 	Greedy
-	// Annealed marks mappings produced by the simulated-annealing backend
-	// (internal/anneal, via the Instance API). place.MapCtx itself never
-	// runs it — passing it to MapCtx is a configuration error.
-	Annealed
 )
 
 // String returns the mode name.
@@ -63,8 +62,6 @@ func (m Mode) String() string {
 		return "monolithic"
 	case Greedy:
 		return "greedy"
-	case Annealed:
-		return "anneal"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
@@ -79,8 +76,8 @@ type Config struct {
 	// BatchSize is the rolling-horizon batch length (default 6).
 	BatchSize int
 	// MaxNodes bounds branch-and-bound nodes per ILP (default 1024). It is
-	// the primary give-up budget for models the search cannot crack (the
-	// fallback ladder then relaxes the model or reverts to greedy):
+	// the primary give-up budget for models the search cannot crack (core's
+	// fallback tiers then relax the model or revert to greedy):
 	// machine-independent, deterministic, and — with warm-started node
 	// solves — cheap to exhaust. SolveTimeout is the wall-clock backstop.
 	MaxNodes int
@@ -120,8 +117,8 @@ type Config struct {
 	Faults *fault.Set
 	// BestEffort makes the greedy mapper skip operations with no feasible
 	// placement instead of failing, recording them in Mapping.Dropped —
-	// the last rung of core's degradation ladder. Only the greedy paths
-	// honour it; the ILP modes still require a complete assignment.
+	// core's last fallback tier. Only the greedy paths honour it; the ILP
+	// modes still require a complete assignment.
 	BestEffort bool
 	// ColdLP disables the branch-and-bound warm-start machinery
 	// (milp.Options.ColdLP): every node pays a from-scratch LP solve.
@@ -184,7 +181,6 @@ type Mapping struct {
 
 // Stats reports how the mapping was obtained.
 type Stats struct {
-	Mode Mode
 	// ILPNodes is the total number of branch-and-bound nodes.
 	ILPNodes int
 	// ILPSolves is the number of ILP models solved.
@@ -198,9 +194,9 @@ type Stats struct {
 	Exact bool
 	// NoIncumbent counts branch-and-bound solves that exhausted their node
 	// budget without ever holding an incumbent (milp status Limit) — the
-	// hard instances the anytime portfolio exists for. The internal
+	// hard instances the other candidates exist for. The per-batch
 	// fallbacks (relaxed model, greedy) usually still produce a mapping,
-	// so a non-zero count with a successful result means the ILP itself
+	// so a non-zero count with a successful result means the ILP's search
 	// was beaten, not the run.
 	NoIncumbent int
 }
@@ -235,9 +231,6 @@ func MapCtx(ctx context.Context, res *schedule.Result, cfg Config) (*Mapping, er
 			m, err = pr.solveMonolithic(iterSp)
 		case Greedy:
 			m, err = pr.solveGreedy(iterSp)
-		case Annealed:
-			iterSp.End()
-			return nil, fmt.Errorf("place: mode %s is produced by the anneal backend, not by MapCtx", cfg.Mode)
 		default:
 			m, err = pr.solveRolling(iterSp)
 		}
@@ -274,7 +267,7 @@ func (pr *problem) flushObs(m *Mapping) {
 	mm.Counter("place_ilp_solves_total").Add(int64(m.Stats.ILPSolves))
 	mm.Counter("place_ilp_nodes_total").Add(int64(m.Stats.ILPNodes))
 	mm.Counter("place_rc_relaxed_total").Add(int64(m.Stats.RCRelaxed))
-	sp.Set(obs.KV("mode", m.Stats.Mode.String()),
+	sp.Set(obs.KV("mode", pr.cfg.Mode.String()),
 		obs.KV("repairs", m.Stats.Repairs),
 		obs.KV("ilp_nodes", m.Stats.ILPNodes),
 		obs.KV("max_pump_ops", m.MaxPumpOps),
@@ -407,36 +400,6 @@ func (pr *problem) seedPump() map[grid.Point]int {
 
 // wearAware reports whether a wear prior is steering this mapping.
 func (pr *problem) wearAware() bool { return len(pr.prior) > 0 }
-
-// lifetimeMaxPump replays the placements' pump load on top of the wear
-// prior and returns the maximum per-valve total — the quantity the
-// wear-biased mappers minimise (untouched worn valves included, matching
-// the ILP's w ≥ maxPast lower bound).
-func (pr *problem) lifetimeMaxPump(fixed map[int]arch.Placement) int {
-	pump := pr.seedPump()
-	max := 0
-	for _, n := range pump {
-		if n > max {
-			max = n
-		}
-	}
-	for _, op := range pr.ops {
-		if !pr.pump[op] {
-			continue
-		}
-		pl, ok := fixed[op]
-		if !ok {
-			continue
-		}
-		for _, pt := range pl.Ring() {
-			pump[pt]++
-			if pump[pt] > max {
-				max = pump[pt]
-			}
-		}
-	}
-	return max
-}
 
 // overlapsInTime reports whether the device windows of a and b intersect.
 func (pr *problem) overlapsInTime(a, b int) bool {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mfsynth/internal/arch"
 	"mfsynth/internal/assays"
 	"mfsynth/internal/graph"
 	"mfsynth/internal/schedule"
@@ -122,8 +123,8 @@ func TestGreedyPCR(t *testing.T) {
 	if m.MaxPumpOps != 1 {
 		t.Errorf("greedy MaxPumpOps = %d, want 1", m.MaxPumpOps)
 	}
-	if m.Stats.Mode != Greedy {
-		t.Errorf("stats mode = %v", m.Stats.Mode)
+	if m.Stats.ILPSolves != 0 {
+		t.Errorf("greedy mapping reports %d ILP solves", m.Stats.ILPSolves)
 	}
 }
 
@@ -286,4 +287,36 @@ func TestDilutionChainRolling(t *testing.T) {
 			t.Errorf("steps %d and %d at distance %d > 2", i-1, i, d)
 		}
 	}
+}
+
+// TestGreedyPackingRescuesCrowdedAssay: on this generated assay no
+// main-phase greedy variant places every operation on a 12×12 chip, but
+// the packing phase does. The standalone greedy mapper must reach it and
+// return a complete mapping instead of "no feasible placement".
+func TestGreedyPackingRescuesCrowdedAssay(t *testing.T) {
+	a := assays.Random(16001, assays.RandomOptions{MixOps: 16})
+	mixers := map[int]int{}
+	for _, id := range a.MixOps() {
+		mixers[a.Volume(id)] = 1
+	}
+	res, err := schedule.List(a, schedule.Options{Resources: schedule.Resources{Mixers: mixers}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Grid: 12, Mode: Greedy}
+	pr, err := newProblem(res, cfg.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := pr.multiStartGreedy(nil, pr.ops, map[int]arch.Placement{}, pr.seedPump()); err == nil {
+		t.Fatal("a main-phase variant places every operation; the case no longer exercises the packing rescue")
+	}
+	m, err := Map(res, cfg)
+	if err != nil {
+		t.Fatalf("greedy gave up before its packing phase: %v", err)
+	}
+	if len(m.Dropped) != 0 {
+		t.Fatalf("dropped %v", m.Dropped)
+	}
+	checkMapping(t, res, m, cfg.withDefaults())
 }

@@ -1,11 +1,8 @@
 package place
 
 import (
-	"errors"
-
 	"mfsynth/internal/arch"
 	"mfsynth/internal/obs"
-	"mfsynth/internal/synerr"
 )
 
 // solveRolling runs the rolling-horizon decomposition: the ILP of
@@ -18,7 +15,7 @@ import (
 func (pr *problem) solveRolling(sp *obs.Span) (*Mapping, error) {
 	fixed := map[int]arch.Placement{}
 	pump := pr.seedPump() // wear prior: past load enters the ILP as constants
-	stats := Stats{Mode: RollingHorizon, Exact: true}
+	stats := Stats{Exact: true}
 
 	for start := 0; start < len(pr.ops); start += pr.cfg.BatchSize {
 		end := start + pr.cfg.BatchSize
@@ -31,18 +28,7 @@ func (pr *problem) solveRolling(sp *obs.Span) (*Mapping, error) {
 		placements, info, err := pr.solveBatch(batch, fixed, pump, batchOpts{obs: bsp})
 		bsp.End()
 		if err != nil {
-			if errors.Is(err, synerr.ErrDeadline) {
-				return nil, err // cancelled, not crowded: no fallback
-			}
-			// Earlier batches crowded the chip; a full-horizon greedy sees
-			// all couplings at once and regularly still fits.
-			full, ginfo, gerr := pr.multiStartGreedy(sp, pr.ops, map[int]arch.Placement{}, pr.seedPump())
-			if gerr != nil {
-				return nil, err
-			}
-			stats.Exact = false
-			stats.RCRelaxed = ginfo.rcRelaxed
-			return pr.finishMapping(full, stats), nil
+			return nil, err
 		}
 		stats.ILPSolves++
 		stats.ILPNodes += info.nodes
@@ -64,26 +50,7 @@ func (pr *problem) solveRolling(sp *obs.Span) (*Mapping, error) {
 	if stats.ILPSolves > 1 {
 		stats.Exact = false
 	}
-	result := pr.finishMapping(fixed, stats)
-
-	// Portfolio step: a full-horizon multi-start greedy sees couplings the
-	// per-batch ILPs cannot; keep whichever mapping pumps less. Under a
-	// wear prior both sides are judged on the lifetime maximum (prior
-	// included) — the greedy's internal counter only covers valves its own
-	// placements touch.
-	if full, info, err := pr.multiStartGreedy(sp, pr.ops, map[int]arch.Placement{}, pr.seedPump()); err == nil {
-		gm, rm := info.maxPump, result.MaxPumpOps
-		if pr.wearAware() {
-			gm, rm = pr.lifetimeMaxPump(full), pr.lifetimeMaxPump(fixed)
-		}
-		if gm < rm {
-			gs := stats
-			gs.RCRelaxed = info.rcRelaxed
-			gs.Exact = false
-			return pr.finishMapping(full, gs), nil
-		}
-	}
-	return result, nil
+	return pr.finishMapping(fixed, stats), nil
 }
 
 // solveMonolithic solves the paper's single ILP over every operation.
@@ -96,7 +63,6 @@ func (pr *problem) solveMonolithic(sp *obs.Span) (*Mapping, error) {
 		return nil, err
 	}
 	stats := Stats{
-		Mode:        Monolithic,
 		ILPSolves:   1,
 		ILPNodes:    info.nodes,
 		RCRelaxed:   info.rcRelaxed,

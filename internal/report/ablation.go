@@ -17,7 +17,7 @@ import (
 
 // AblationOptions tunes the backend-ablation sweep: every instance is
 // synthesised once per backend, in isolation, under the same per-run
-// deadline — the experiment behind EXPERIMENTS.md's "anytime portfolio"
+// deadline — the experiment behind EXPERIMENTS.md's "Backend ablation"
 // table and the BENCH_ablation.json gate artefact.
 type AblationOptions struct {
 	// Backends lists the backends to ablate (default ilp, greedy, anneal).

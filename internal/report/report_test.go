@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"mfsynth/internal/assays"
+	"mfsynth/internal/baseline"
+	"mfsynth/internal/core"
 	"mfsynth/internal/place"
+	"mfsynth/internal/schedule"
 )
 
 func TestFig2DedicatedMixer(t *testing.T) {
@@ -165,5 +168,57 @@ func TestTable1GreedyShape(t *testing.T) {
 	out := Render(rows)
 	if !strings.Contains(out, "ExponentialDilution") {
 		t.Error("render incomplete")
+	}
+}
+
+// TestTable1RowsNameProducer: on the greedy (-fast) table every row names
+// the producer of its mapping, each row's FailedRoutes equals a direct
+// synthesis of the same cell, and exactly the incomplete rows are marked
+// in the rendered table.
+func TestTable1RowsNameProducer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("24 syntheses")
+	}
+	rows, err := Table1(RowOptions{Mode: place.Greedy, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	incomplete := 0
+	for _, r := range rows {
+		if r.Backend != string(core.BackendGreedy) {
+			t.Errorf("%s p%d: backend %q, want greedy", r.Case, r.Policy, r.Backend)
+		}
+		c, err := assays.ByName(r.Case)
+		if err != nil {
+			t.Fatal(err)
+		}
+		des, err := baseline.Traditional(c, r.Policy, baseline.DefaultCost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Synthesize(c.Assay, core.Options{
+			Policy:  schedule.Resources{Mixers: des.Mixers, Detectors: c.Detectors},
+			Place:   place.Config{Grid: c.GridSize, Mode: place.Greedy},
+			Workers: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.FailedRoutes != res.FailedRoutes {
+			t.Errorf("%s p%d: row FailedRoutes %d, result %d", r.Case, r.Policy, r.FailedRoutes, res.FailedRoutes)
+		}
+		if r.FailedRoutes > 0 {
+			incomplete++
+		}
+	}
+	out := Render(rows)
+	marked := 0
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasSuffix(line, "*") {
+			marked++
+		}
+	}
+	if marked != incomplete {
+		t.Errorf("%d rows marked incomplete, %d have unrouted transports:\n%s", marked, incomplete, out)
 	}
 }

@@ -38,7 +38,12 @@ type Row struct {
 	Imp2            float64
 	OurValves       int     // #v (ours)
 	ImpV            float64 // valve-count improvement, percent
-	Runtime         time.Duration
+	// Backend names the producer whose mapping the row reports.
+	Backend string
+	// FailedRoutes counts transports the row's chip leaves unrouted; a
+	// non-zero count marks an incomplete row.
+	FailedRoutes int
+	Runtime      time.Duration
 	// Phases is the wall-clock split of Runtime over the synthesis
 	// pipeline phases ("schedule", "place", "route").
 	Phases map[string]float64
@@ -73,14 +78,13 @@ type RowOptions struct {
 	// healthy) — the per-cell form of Faults for multi-grid sweeps.
 	FaultSeed int64
 	FaultRate float64
-	// Backends races the anytime backend portfolio on every cell (two or
-	// more entries) or pins a single backend; empty keeps the classic
-	// single pipeline with Mode as configured. Anneal tunes the anneal
-	// backend when it is listed.
+	// Backends lists the nominal producers of every cell; empty means
+	// Mode's default list (see core.Options.Backends). Anneal tunes the
+	// anneal backend when it is listed.
 	Backends []core.Backend
 	Anneal   core.AnnealOptions
 	// Deadline caps each cell's synthesis wall-clock (0 = none) — the
-	// portfolio's anytime bound.
+	// candidates' anytime bound.
 	Deadline time.Duration
 }
 
@@ -129,20 +133,22 @@ func Table1RowCtx(ctx context.Context, c assays.Case, policy int, opts RowOption
 		}
 	}
 	row := &Row{
-		Case:       c.Assay.Name,
-		Ops:        c.Assay.Stats().String(),
-		Policy:     policy,
-		NumDevices: des.NumDevices,
-		MixVector:  des.MixVector(),
-		VsTmax:     des.VsTmax,
-		TradValves: des.Valves,
-		Vs1Max:     res.VsMax1,
-		Vs1Pump:    res.VsPump1,
-		Vs2Max:     res.VsMax2,
-		Vs2Pump:    res.VsPump2,
-		OurValves:  res.UsedValves,
-		Runtime:    res.Runtime,
-		Phases:     res.PhaseSeconds,
+		Case:         c.Assay.Name,
+		Ops:          c.Assay.Stats().String(),
+		Policy:       policy,
+		NumDevices:   des.NumDevices,
+		MixVector:    des.MixVector(),
+		VsTmax:       des.VsTmax,
+		TradValves:   des.Valves,
+		Vs1Max:       res.VsMax1,
+		Vs1Pump:      res.VsPump1,
+		Vs2Max:       res.VsMax2,
+		Vs2Pump:      res.VsPump2,
+		OurValves:    res.UsedValves,
+		Backend:      res.Backend,
+		FailedRoutes: res.FailedRoutes,
+		Runtime:      res.Runtime,
+		Phases:       res.PhaseSeconds,
 	}
 	row.Imp1 = improvement(des.VsTmax, res.VsMax1)
 	row.Imp2 = improvement(des.VsTmax, res.VsMax2)
@@ -219,20 +225,31 @@ func Averages(rows []*Row) (imp1, imp2, impV float64) {
 	return imp1 / n, imp2 / n, impV / n
 }
 
-// Render formats the rows as a text table in the layout of Table 1.
+// Render formats the rows as a text table in the layout of Table 1, with
+// each row's producer; a row whose chip leaves transports unrouted is
+// marked with * and counted in a footnote.
 func Render(rows []*Row) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-22s %-8s %-3s %3s %-24s %8s %5s | %9s %8s %9s %8s %5s %7s %8s\n",
+	fmt.Fprintf(&sb, "%-22s %-8s %-3s %3s %-24s %8s %5s | %9s %8s %9s %8s %5s %7s %8s %s\n",
 		"case", "#op", "po.", "#d", "#m4-6-8-10", "vs_tmax", "#v",
-		"vs1max", "imp1", "vs2max", "imp2", "#v", "impv", "T")
+		"vs1max", "imp1", "vs2max", "imp2", "#v", "impv", "T", "by")
+	incomplete := 0
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-22s %-8s p%-2d %3d %-24s %8d %5d | %4d(%3d) %7.2f%% %4d(%3d) %7.2f%% %5d %6.2f%% %7.1fs\n",
+		mark := ""
+		if r.FailedRoutes > 0 {
+			mark = "*"
+			incomplete++
+		}
+		fmt.Fprintf(&sb, "%-22s %-8s p%-2d %3d %-24s %8d %5d | %4d(%3d) %7.2f%% %4d(%3d) %7.2f%% %5d %6.2f%% %7.1fs %s%s\n",
 			r.Case, r.Ops, r.Policy, r.NumDevices, r.MixVector, r.VsTmax, r.TradValves,
 			r.Vs1Max, r.Vs1Pump, r.Imp1, r.Vs2Max, r.Vs2Pump, r.Imp2,
-			r.OurValves, r.ImpV, r.Runtime.Seconds())
+			r.OurValves, r.ImpV, r.Runtime.Seconds(), r.Backend, mark)
 	}
 	i1, i2, iv := Averages(rows)
 	fmt.Fprintf(&sb, "%-22s %68s | %9s %7.2f%% %9s %7.2f%% %5s %6.2f%%\n",
 		"average", "", "", i1, "", i2, "", iv)
+	if incomplete > 0 {
+		fmt.Fprintf(&sb, "* %d row(s) leave transports unrouted\n", incomplete)
+	}
 	return sb.String()
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -65,8 +66,14 @@ type submitResponse struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(&req); err != nil {
 		s.CountBadRequest()
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeProblem(w, Problem{Type: "too-large", Title: "request body too large",
+				Status: http.StatusRequestEntityTooLarge, Detail: err.Error()})
+			return
+		}
 		writeProblem(w, Problem{Type: "bad-request", Title: "malformed JSON body",
 			Status: http.StatusBadRequest, Detail: err.Error()})
 		return
@@ -74,6 +81,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	a, opts, deadline, err := req.resolve()
 	if err != nil {
 		s.CountBadRequest()
+		var rangeErr *rangeError
+		if errors.As(err, &rangeErr) {
+			writeProblem(w, Problem{Type: "out-of-range", Title: "request value out of range",
+				Status: http.StatusUnprocessableEntity, Detail: err.Error()})
+			return
+		}
 		writeProblem(w, Problem{Type: "bad-request", Title: "invalid synthesis request",
 			Status: http.StatusBadRequest, Detail: err.Error()})
 		return

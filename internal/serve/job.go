@@ -49,9 +49,8 @@ type ResultView struct {
 	Degraded    bool   `json:"degraded,omitempty"`
 	Degradation string `json:"degradation,omitempty"`
 
-	// Backend names the portfolio backend that produced the result; Race
-	// itemises every lane of an anytime portfolio run. Both are empty for
-	// the classic single pipeline.
+	// Backend names the producer of the result's mapping; Race itemises
+	// the nominal candidates when two or more ran.
 	Backend string           `json:"backend,omitempty"`
 	Race    *core.RaceReport `json:"race,omitempty"`
 

@@ -24,7 +24,8 @@ const StatusClientClosedRequest = 499
 //	client cancel  → 499 client closed request
 //
 // Admission failures use 429 (rate limit / queue full, with Retry-After)
-// and 503 (draining); malformed requests use 400.
+// and 503 (draining); malformed requests use 400, an oversized body 413
+// and a value outside the request bounds 422.
 type Problem struct {
 	Type   string `json:"type"`
 	Title  string `json:"title"`

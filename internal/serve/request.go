@@ -47,11 +47,11 @@ type OptionsSpec struct {
 	DisableStoragePassthrough bool `json:"disable_storage_passthrough,omitempty"`
 	DisableDegradation        bool `json:"disable_degradation,omitempty"`
 
-	// Backends is the anytime-portfolio spec, comma-separated in priority
-	// order ("ilp,greedy,anneal"); empty means the classic single
-	// pipeline. The anneal knobs apply only when "anneal" is listed; all
-	// of them are part of the request fingerprint, so differently
-	// configured portfolios never share a cache entry.
+	// Backends lists the nominal mapping producers, comma-separated in
+	// priority order ("ilp,greedy,anneal"); empty means the mode's
+	// default list. The anneal knobs apply only when "anneal" is listed;
+	// all of them are part of the request fingerprint, so differently
+	// configured requests never share a cache entry.
 	Backends         string `json:"backends,omitempty"`
 	AnnealSeed       int64  `json:"anneal_seed,omitempty"`
 	AnnealReplicates int    `json:"anneal_replicates,omitempty"`
@@ -63,9 +63,36 @@ type OptionsSpec struct {
 	DeadlineSeconds float64 `json:"deadline_seconds,omitempty"`
 }
 
+// Bounds on the values a request turns into memory or time: a chip holds
+// 2·grid² counters and the placement models grow with grid², and the
+// anneal budget and the deadline bound how long a worker stays busy.
+// Requests outside them are answered 422 (413 for an oversized body).
+const (
+	MaxBodyBytes        = 1 << 20
+	MinGrid             = 4 // the smallest chip arch.NewChip builds
+	MaxGrid             = 32
+	MaxAnnealReplicates = 64
+	MaxAnnealIters      = 100_000
+	MaxDeadlineSeconds  = 3600
+)
+
+// rangeError marks a request value outside the service's bounds.
+type rangeError struct{ msg string }
+
+func (e *rangeError) Error() string { return e.msg }
+
+// checkRange returns a rangeError when v lies outside [lo, hi].
+func checkRange[T int | float64](name string, v, lo, hi T) error {
+	if v < lo || v > hi {
+		return &rangeError{fmt.Sprintf("%s %v out of range [%v, %v]", name, v, lo, hi)}
+	}
+	return nil
+}
+
 // resolve turns the wire request into the synthesis inputs: the parsed
 // assay, the core options (faults included) and the per-job deadline.
-// Errors are client errors (400).
+// Out-of-bounds values yield a *rangeError; every other error is a
+// malformed request.
 func (req *JobRequest) resolve() (*graph.Assay, core.Options, time.Duration, error) {
 	var (
 		a    *graph.Assay
@@ -114,8 +141,18 @@ func (req *JobRequest) resolve() (*graph.Assay, core.Options, time.Duration, err
 	}
 
 	o := req.Opts
-	if o.Grid > 0 {
+	if o.Grid != 0 {
 		opts.Place.Grid = o.Grid
+	}
+	for _, err := range []error{
+		checkRange("grid", opts.Place.Grid, MinGrid, MaxGrid),
+		checkRange("anneal_replicates", o.AnnealReplicates, 0, MaxAnnealReplicates),
+		checkRange("anneal_iters", o.AnnealIters, 0, MaxAnnealIters),
+		checkRange("deadline_seconds", o.DeadlineSeconds, 0, MaxDeadlineSeconds),
+	} {
+		if err != nil {
+			return nil, opts, 0, err
+		}
 	}
 	switch o.Mode {
 	case "", "rolling":
@@ -153,9 +190,6 @@ func (req *JobRequest) resolve() (*graph.Assay, core.Options, time.Duration, err
 		opts.Faults = fs
 	}
 
-	if o.DeadlineSeconds < 0 {
-		return nil, opts, 0, fmt.Errorf("negative deadline")
-	}
 	deadline := time.Duration(o.DeadlineSeconds * float64(time.Second))
 	return a, opts, deadline, nil
 }

@@ -637,3 +637,50 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("stats disagree with metrics: %+v", st)
 	}
 }
+
+// TestSubmitBounds: the service refuses untrusted input it cannot afford.
+// An oversized body is a 413 problem and an out-of-range grid, anneal
+// budget or deadline a 422 problem; none of them reaches the engine, and
+// an in-range request is still accepted.
+func TestSubmitBounds(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 8, CacheEntries: 8})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	post := func(body string) (int, Problem) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var p Problem
+		json.NewDecoder(resp.Body).Decode(&p)
+		return resp.StatusCode, p
+	}
+	withOpts := func(opts string) string {
+		return `{"case":"PCR","options":{"mode":"greedy",` + opts + `}}`
+	}
+
+	huge := `{"case":"PCR","faults":"` + strings.Repeat("#", MaxBodyBytes) + `"}`
+	if status, p := post(huge); status != http.StatusRequestEntityTooLarge || p.Type != "too-large" {
+		t.Errorf("oversized body: status %d, problem %+v", status, p)
+	}
+	for _, opts := range []string{
+		`"grid":2`, `"grid":-5`, `"grid":100000`,
+		`"anneal_replicates":1000000`, `"anneal_replicates":-1`,
+		`"anneal_iters":1000000000`,
+		`"deadline_seconds":-1`, `"deadline_seconds":1e9`,
+	} {
+		if status, p := post(withOpts(opts)); status != http.StatusUnprocessableEntity || p.Type != "out-of-range" {
+			t.Errorf("%s: status %d, problem %+v", opts, status, p)
+		}
+	}
+	if st := s.Stats(); st.Accepted != 0 || st.BadRequests != 9 {
+		t.Errorf("refused requests: accepted %d, bad requests %d, want 0 and 9", st.Accepted, st.BadRequests)
+	}
+	if status, p := post(withOpts(`"grid":12,"anneal_replicates":2,"deadline_seconds":60`)); status != http.StatusAccepted {
+		t.Errorf("in-range request refused: status %d, problem %+v", status, p)
+	}
+}

@@ -118,7 +118,7 @@ func TestDegradedPartialConforms(t *testing.T) {
 		Place:  place.Config{Grid: 8, Mode: place.Greedy},
 	})
 	if err != nil {
-		t.Fatalf("degradation ladder did not rescue the 8x8 run: %v", err)
+		t.Fatalf("fallback tiers did not rescue the 8x8 run: %v", err)
 	}
 	if !res.Degraded() || res.Degradation.Level != core.DegradePartial {
 		t.Fatalf("expected a partial result, got %s", res.Degradation)

@@ -148,17 +148,14 @@ const (
 	MonolithicILP = place.Monolithic
 	// GreedyPlace is the constructive heuristic (ablation baseline).
 	GreedyPlace = place.Greedy
-	// AnnealedPlace marks mappings produced by the simulated-annealing
-	// backend (select it via Options.Backends, not PlaceConfig.Mode).
-	AnnealedPlace = place.Annealed
 )
 
-// Backend names one mapper strategy of the anytime backend portfolio:
-// list two or more in Options.Backends to race full pipelines under one
-// deadline and keep the best result, deterministically.
+// Backend names one mapping producer. Options.Backends lists the nominal
+// producers: each maps, routes and simulates concurrently under the
+// caller's context and the best result wins, deterministically.
 type Backend = core.Backend
 
-// Portfolio backends, in canonical priority order.
+// Mapping producers, in canonical priority order.
 const (
 	// BackendILP is the paper's exact mapper.
 	BackendILP = core.BackendILP
@@ -172,18 +169,18 @@ const (
 func Backends() []Backend { return core.Backends() }
 
 // ParseBackends parses a comma-separated backend list in priority order
-// ("ilp,greedy,anneal"); "" and "none" mean no portfolio.
+// ("ilp,greedy,anneal"); "" and "none" mean the place mode's default list.
 func ParseBackends(s string) ([]Backend, error) { return core.ParseBackends(s) }
 
 // AnnealOptions tunes the simulated-annealing backend; zero fields mean
 // the engine defaults. The seed fully determines the annealed mapping.
 type AnnealOptions = core.AnnealOptions
 
-// RaceReport is the outcome of an anytime portfolio race, one lane per
-// backend (Result.Race).
+// RaceReport lists the nominal candidates of a run that had two or more,
+// one lane per candidate (Result.Race).
 type RaceReport = core.RaceReport
 
-// RaceLane is one backend's outcome within a race.
+// RaceLane is one nominal candidate's outcome.
 type RaceLane = core.RaceLane
 
 // Options configures Synthesize.
@@ -305,12 +302,13 @@ func ParseFaults(r io.Reader) (*FaultSet, error) { return fault.Parse(r) }
 // WriteFaults serialises a defect set in the fault-spec text format.
 func WriteFaults(w io.Writer, fs *FaultSet) error { return fault.Write(w, fs) }
 
-// Degradation is the structured report of a degraded synthesis: the ladder
-// rung accepted, failed attempts, unrouted nets, dropped operations and
-// wear-out promotions. Nil on Result.Degradation means a nominal run.
+// Degradation is the structured report of a degraded synthesis: the
+// fallback tier accepted, failed candidates, unrouted nets, dropped
+// operations and wear-out promotions. Nil on Result.Degradation means a
+// nominal run.
 type Degradation = core.Degradation
 
-// DegradationLevel orders the graceful-degradation ladder.
+// DegradationLevel orders the fallback tiers.
 type DegradationLevel = core.DegradationLevel
 
 // Degradation levels, in escalation order.
