@@ -84,10 +84,10 @@ tier8:
 perfbench:
 	cd perfbench && go vet . && go test .
 
-# Serial-vs-parallel engine benchmarks (ns/op and allocs/op per worker count).
+# Serial-vs-parallel benchmarks of the multi-start greedy fan-out and the
+# Table 1 cell fan-out (ns/op and allocs/op per worker count).
 bench-parallel:
-	go test -bench=Parallel -benchmem ./...
-	go test -bench=SimplexMedium -benchmem ./internal/lp/
+	go test -run '^$$' -bench=Parallel -benchmem .
 
 # Machine-readable Table 1 artefact.
 bench-json:

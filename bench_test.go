@@ -329,8 +329,8 @@ func BenchmarkParallelGreedy_MixingTree(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelRolling_PCR exercises the parallel branch-and-bound
-// relaxation solves of the rolling-horizon ILP batches.
+// BenchmarkParallelRolling_PCR runs the rolling-horizon mapper, whose
+// batches fan out their multi-start greedy, at several worker counts.
 func BenchmarkParallelRolling_PCR(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {

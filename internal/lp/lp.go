@@ -148,18 +148,6 @@ func (p *Problem) SetBounds(v Var, lower, upper float64) {
 	p.lower[v], p.upper[v] = lower, upper
 }
 
-// Clone returns a Problem that shares the (immutable during solving)
-// structure — rows, objective, names — with p but owns private copies of
-// the bound vectors. Clones exist so branch-and-bound workers can apply
-// node-specific bounds and solve concurrently; structural edits (AddVar,
-// AddRow, SetObj) after cloning are not supported on either copy.
-func (p *Problem) Clone() *Problem {
-	q := *p
-	q.lower = append([]float64(nil), p.lower...)
-	q.upper = append([]float64(nil), p.upper...)
-	return &q
-}
-
 // BoundsSnapshot returns copies of the full lower and upper bound vectors.
 func (p *Problem) BoundsSnapshot() (lower, upper []float64) {
 	return append([]float64(nil), p.lower...), append([]float64(nil), p.upper...)

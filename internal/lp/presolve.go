@@ -105,8 +105,8 @@ func (pr *presolved) expand(p *Problem, sol *Solution) *Solution {
 func (p *Problem) SolvePresolved() (*Solution, error) { return p.SolveScratch(nil) }
 
 // SolveScratch is SolvePresolved drawing its tableau from the given arena
-// (nil = allocate fresh). Branch-and-bound callers keep one Scratch per
-// worker and pass it to every node solve.
+// (nil = allocate fresh). Branch-and-bound callers keep one Scratch and
+// pass it to every node solve.
 func (p *Problem) SolveScratch(scratch *Scratch) (*Solution, error) {
 	for i := range p.rows {
 		for _, t := range p.rows[i] {

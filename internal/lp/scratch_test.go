@@ -64,37 +64,6 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestCloneIndependentBounds verifies clones solve independently after
-// diverging bound changes.
-func TestCloneIndependentBounds(t *testing.T) {
-	p := NewProblem()
-	x := p.AddVar("x", 0, 10, 1)
-	y := p.AddVar("y", 0, 10, 1)
-	p.AddRow([]Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, GE, 4)
-
-	q := p.Clone()
-	q.SetBounds(x, 3, 10) // force x >= 3 only in the clone
-
-	ps, err := p.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs, err := q.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Obj != 4 {
-		t.Fatalf("original obj = %g, want 4", ps.Obj)
-	}
-	if qs.Obj != 4 || qs.X[x] < 3-1e-9 {
-		t.Fatalf("clone obj = %g x = %g, want x >= 3", qs.Obj, qs.X[x])
-	}
-	lo, _ := p.Bounds(x)
-	if lo != 0 {
-		t.Fatalf("clone bound change leaked into original: lo = %g", lo)
-	}
-}
-
 // TestBoundsSnapshotRoundTrip exercises snapshot/restore.
 func TestBoundsSnapshotRoundTrip(t *testing.T) {
 	p := NewProblem()

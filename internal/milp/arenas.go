@@ -2,36 +2,30 @@ package milp
 
 import "mfsynth/internal/lp"
 
-// Arenas bundles the reusable solver state of branch and bound: one tableau
-// arena and one warm-start lane per concurrency slot, plus a shared pool of
-// frozen-basis snapshots. A caller that solves many related models — the
-// rolling-horizon mapper solves one per window — keeps a single Arenas and
-// passes it through Options so tableaus, dual-simplex working buffers and
-// snapshots survive across solves instead of being reallocated per batch.
-// When Options.Arenas is nil, Solve creates a private one.
-//
-// Lane 0 belongs to the serial recursion (and the parallel merge
-// goroutine); parallel workers use lanes 1..W. Lanes must be claimed from
-// a single goroutine before concurrent use.
+// Arenas bundles the reusable solver state of branch and bound: a tableau
+// arena, a warm-start solver and a pool of frozen-basis snapshots. A caller
+// that solves many related models — the rolling-horizon mapper solves one
+// per window — keeps a single Arenas and passes it through Options so
+// tableaus, dual-simplex working buffers and snapshots survive across
+// solves instead of being reallocated per batch. When Options.Arenas is
+// nil, Solve creates a private one. An Arenas serves one solve at a time.
 type Arenas struct {
-	scratch []*lp.Scratch
-	warm    []*lp.WarmSolver
+	scratch *lp.Scratch
+	warm    *lp.WarmSolver
 	snaps   *lp.WarmArena
 }
 
 // NewArenas returns an empty arena bundle.
-func NewArenas() *Arenas { return &Arenas{snaps: lp.NewWarmArena()} }
+func NewArenas() *Arenas {
+	return &Arenas{scratch: lp.NewScratch(), snaps: lp.NewWarmArena()}
+}
 
-// lane returns slot i's tableau arena and warm solver, (re)bound to p.
-func (a *Arenas) lane(i int, p *lp.Problem) (*lp.Scratch, *lp.WarmSolver) {
-	for len(a.scratch) <= i {
-		a.scratch = append(a.scratch, lp.NewScratch())
-		a.warm = append(a.warm, nil)
-	}
-	if a.warm[i] == nil {
-		a.warm[i] = lp.NewWarmSolver(p)
+// bind returns the tableau arena and the warm solver, (re)bound to p.
+func (a *Arenas) bind(p *lp.Problem) (*lp.Scratch, *lp.WarmSolver) {
+	if a.warm == nil {
+		a.warm = lp.NewWarmSolver(p)
 	} else {
-		a.warm[i].Rebind(p)
+		a.warm.Rebind(p)
 	}
-	return a.scratch[i], a.warm[i]
+	return a.scratch, a.warm
 }

@@ -28,7 +28,7 @@ func BenchmarkBBKnapsackCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := m.Solve(Options{ColdLP: true, Workers: 1, Arenas: ar})
+		res, err := m.Solve(Options{ColdLP: true, Arenas: ar})
 		if err != nil || res.Status != Optimal {
 			b.Fatalf("status %v err %v", res.Status, err)
 		}
@@ -44,7 +44,7 @@ func BenchmarkBBKnapsackWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := m.Solve(Options{Workers: 1, Arenas: ar})
+		res, err := m.Solve(Options{Arenas: ar})
 		if err != nil || res.Status != Optimal {
 			b.Fatalf("status %v err %v", res.Status, err)
 		}

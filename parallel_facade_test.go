@@ -10,7 +10,7 @@ import (
 // Table 1 case under p1 with Workers 1 and Workers 4 and asserts the two
 // results are identical in every reported metric and placement — the
 // deterministic-merge contract of the parallel engine, end to end. PCR uses
-// the rolling-horizon mapper (exercising the parallel branch-and-bound);
+// the rolling-horizon mapper (greedy fan-out inside every ILP batch);
 // the larger cases use the greedy mapper to keep -race runs short, matching
 // the bench harness's mode choices.
 func TestParallelSynthesisMatchesSerial(t *testing.T) {
