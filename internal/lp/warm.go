@@ -20,11 +20,7 @@ package lp
 // report failure and the caller falls back to the cold two-phase solve,
 // which remains the sole authority in those cases.
 
-import (
-	"math"
-	"sync"
-	"sync/atomic"
-)
+import "math"
 
 // BoundDelta is one bound tightening applied between a parent node and its
 // child. Branching only ever shrinks boxes, so Lo ≥ parent lower and
@@ -36,8 +32,7 @@ type BoundDelta struct {
 
 // WarmSnap is a frozen optimal tableau: everything the dual simplex needs
 // to resume from a node's optimum under tightened bounds. Snapshots are
-// plain memory — pooled through a WarmArena and safe to hand across
-// goroutines once frozen.
+// plain memory, pooled through a WarmArena.
 type WarmSnap struct {
 	m, n, nStru, artBase int
 
@@ -50,16 +45,19 @@ type WarmSnap struct {
 	inBasis []bool    // n
 	atUpper []bool    // n
 
-	rc int32 // reference count, managed by WarmArena
+	rc int // reference count, managed by WarmArena
+	// gen advances every time the snapshot returns to the pool, so a
+	// WarmSolver that mirrors it can tell a live snapshot from a recycled
+	// one at the same address.
+	gen uint64
 }
 
 // WarmArena pools WarmSnaps: branch and bound creates and discards one
 // snapshot per surviving node, all identically sized within one model, so
-// a freelist removes the dominant allocation. Release is reference-counted
-// (parallel search shares a parent snapshot between both children); the
-// arena may be shared by concurrent workers.
+// a freelist removes the dominant allocation. Release is reference-counted:
+// a child whose tableau equals its parent's shares the parent's snapshot
+// (see WarmSolver.Snapshot). An arena serves one search at a time.
 type WarmArena struct {
-	mu   sync.Mutex
 	free []*WarmSnap
 }
 
@@ -72,12 +70,10 @@ func NewWarmArena() *WarmArena { return &WarmArena{} }
 func (wa *WarmArena) get(m, n, nStru int) *WarmSnap {
 	var s *WarmSnap
 	if wa != nil {
-		wa.mu.Lock()
 		if k := len(wa.free); k > 0 {
 			s = wa.free[k-1]
 			wa.free = wa.free[:k-1]
 		}
-		wa.mu.Unlock()
 	}
 	if s == nil {
 		s = &WarmSnap{}
@@ -95,27 +91,19 @@ func (wa *WarmArena) get(m, n, nStru int) *WarmSnap {
 	return s
 }
 
-// AddRef adds a reference to s (one per child that will resolve from it).
-func (wa *WarmArena) AddRef(s *WarmSnap) {
-	if s != nil {
-		atomic.AddInt32(&s.rc, 1)
-	}
-}
-
 // Release drops one reference; the last release returns s to the pool.
 func (wa *WarmArena) Release(s *WarmSnap) {
 	if s == nil {
 		return
 	}
-	if atomic.AddInt32(&s.rc, -1) > 0 {
+	if s.rc--; s.rc > 0 {
 		return
 	}
+	s.gen++ // solvers mirroring s must copy in again
 	if wa == nil {
 		return // unpooled: let the GC take it
 	}
-	wa.mu.Lock()
 	wa.free = append(wa.free, s)
-	wa.mu.Unlock()
 }
 
 func growF(s []float64, n int) []float64 {
@@ -171,11 +159,17 @@ type WarmResult struct {
 }
 
 // WarmSolver re-solves LP relaxations from parent snapshots via the bounded
-// dual simplex. One solver serves one search lane (goroutine): it owns a
-// working tableau sized to the model, reused across Resolve calls and —
-// via Rebind — across models of similar size. It reads only the problem's
-// immutable structure (objective, offset), never its mutable bounds, so
-// several solvers may share one Problem concurrently.
+// dual simplex. One solver serves one search: it owns a working tableau
+// sized to the model, reused across Resolve calls and — via Rebind —
+// across models of similar size. It reads only the problem's immutable
+// structure (objective, offset), never its mutable bounds.
+//
+// The solver remembers which snapshot, if any, its working tableau is
+// bit-identical to (the mirror): the one it last froze, or the parent of a
+// Resolve that changed nothing. A Resolve from the mirror skips the m×n
+// copy-in, so the first child of a branching node resolves in place, and
+// a Snapshot of an unchanged tableau shares the mirror instead of copying
+// it. Neither shortcut changes any arithmetic.
 type WarmSolver struct {
 	p *Problem
 
@@ -190,9 +184,12 @@ type WarmSolver struct {
 	basis   []int
 	inBasis []bool
 	atUpper []bool
+
+	mirror    *WarmSnap
+	mirrorGen uint64 // mirror.gen when the mirror was taken
 }
 
-// NewWarmSolver returns a solver lane for p.
+// NewWarmSolver returns a solver for p.
 func NewWarmSolver(p *Problem) *WarmSolver { return &WarmSolver{p: p} }
 
 // Rebind points the solver at a new problem, keeping its working buffers.
@@ -232,15 +229,22 @@ func (w *WarmSolver) load(s *WarmSnap) {
 	copy(w.atUpper, s.atUpper)
 }
 
+// mirrors reports whether the working tableau is bit-identical to s: s is
+// the mirror and has not been recycled since.
+func (w *WarmSolver) mirrors(s *WarmSnap) bool {
+	return s != nil && w.mirror == s && w.mirrorGen == s.gen
+}
+
 // applyDelta tightens the bounds of one structural variable in the working
 // tableau: basic variables re-shift their stored value, nonbasic variables
-// move with their resting bound (an O(m) column update). Returns false when
-// the delta is unusable (empty box or not a tightening), telling the caller
-// to fall back to a cold solve.
-func (w *WarmSolver) applyDelta(d BoundDelta) bool {
+// move with their resting bound (an O(m) column update). moved is false
+// when the delta leaves the variable's box, and hence every tableau entry,
+// exactly as it was. ok is false when the delta is unusable (empty box or
+// not a tightening), telling the caller to fall back to a cold solve.
+func (w *WarmSolver) applyDelta(d BoundDelta) (moved, ok bool) {
 	v := int(d.Var)
 	if v < 0 || v >= w.nStru {
-		return false
+		return false, false
 	}
 	oldLo := w.lower[v]
 	oldHi := math.Inf(1)
@@ -249,7 +253,7 @@ func (w *WarmSolver) applyDelta(d BoundDelta) bool {
 	}
 	lo, hi := d.Lo, d.Hi
 	if lo < oldLo-1e-12 || hi > oldHi+1e-12 {
-		return false // a relaxation, not a tightening: basis may be stale
+		return false, false // a relaxation, not a tightening: basis may be stale
 	}
 	if lo < oldLo {
 		lo = oldLo
@@ -258,7 +262,14 @@ func (w *WarmSolver) applyDelta(d BoundDelta) bool {
 		hi = oldHi
 	}
 	if hi < lo {
-		return false
+		return false, false
+	}
+	newUpper := Inf
+	if !math.IsInf(hi, 1) {
+		newUpper = hi - lo
+	}
+	if lo == oldLo && hi == oldHi && newUpper == w.upper[v] && !(newUpper == 0 && w.atUpper[v]) {
+		return false, true // the updates below would rewrite every value unchanged
 	}
 
 	if w.inBasis[v] {
@@ -285,15 +296,11 @@ func (w *WarmSolver) applyDelta(d BoundDelta) bool {
 		}
 	}
 	w.lower[v] = lo
-	if math.IsInf(hi, 1) {
-		w.upper[v] = Inf
-	} else {
-		w.upper[v] = hi - lo
-	}
+	w.upper[v] = newUpper
 	if w.upper[v] == 0 {
 		w.atUpper[v] = false
 	}
-	return true
+	return true, true
 }
 
 // dualSimplex restores primal feasibility from a dual-feasible basis:
@@ -457,18 +464,28 @@ func (w *WarmSolver) objective() float64 {
 }
 
 // Resolve computes the LP value of a child node from its parent's frozen
-// optimum: load the snapshot, tighten the bounds, restore primal
-// feasibility dual-simplex-wise. The parent snapshot is not modified. On
-// Optimal the working tableau holds the child's optimum and may be frozen
-// with Snapshot for the grandchildren.
+// optimum: load the snapshot (unless the working tableau already mirrors
+// it), tighten the bounds, restore primal feasibility dual-simplex-wise.
+// The parent snapshot is not modified. On Optimal the working tableau
+// holds the child's optimum and may be frozen with Snapshot for the
+// grandchildren.
 func (w *WarmSolver) Resolve(parent *WarmSnap, deltas []BoundDelta) WarmResult {
-	w.load(parent)
+	if !w.mirrors(parent) {
+		w.load(parent)
+	}
+	w.mirror = nil
+	moved := false
 	for _, d := range deltas {
-		if !w.applyDelta(d) {
+		m, ok := w.applyDelta(d)
+		if !ok {
 			return WarmResult{Status: IterLimit}
 		}
+		moved = moved || m
 	}
 	st, iters := w.dualSimplex(4*w.m + 100)
+	if !moved && iters == 0 {
+		w.mirror, w.mirrorGen = parent, parent.gen
+	}
 	if st == Optimal && !w.dualClean() {
 		return WarmResult{Status: IterLimit, Iters: iters}
 	}
@@ -503,7 +520,14 @@ func (w *WarmSolver) Solution(obj float64, iters int) *Solution {
 }
 
 // Snapshot freezes the working tableau (valid after an Optimal Resolve).
+// When the tableau mirrors a live snapshot, that snapshot gains a
+// reference and is returned instead of a copy; either way the caller
+// releases the result once.
 func (w *WarmSolver) Snapshot(wa *WarmArena) *WarmSnap {
+	if w.mirrors(w.mirror) {
+		w.mirror.rc++
+		return w.mirror
+	}
 	s := wa.get(w.m, w.n, w.nStru)
 	s.artBase = w.artBase
 	copy(s.a, w.af[:w.m*w.n])
@@ -516,6 +540,7 @@ func (w *WarmSolver) Snapshot(wa *WarmArena) *WarmSnap {
 	}
 	copy(s.inBasis, w.inBasis)
 	copy(s.atUpper, w.atUpper)
+	w.mirror, w.mirrorGen = s, s.gen
 	return s
 }
 
