@@ -736,6 +736,10 @@ type table1Row struct {
 	Imp2Pct    float64 `json:"imp2_pct"`
 	OurValves  int     `json:"our_valves"`
 	ImpVPct    float64 `json:"impv_pct"`
+	// LB is the counting lower bound on vs1_pump and Gap vs1_pump's
+	// distance above it (0 = optimal on the paper's objective).
+	LB  int `json:"lb"`
+	Gap int `json:"gap"`
 	// Backend names the producer whose mapping the row reports.
 	Backend string `json:"backend"`
 	// FailedRoutes counts the row's unrouted transports (0 = complete).
@@ -777,6 +781,8 @@ func writeTable1JSON(path string, rows []*mfsynth.Table1Row, opts mfsynth.Table1
 			Imp2Pct:        r.Imp2,
 			OurValves:      r.OurValves,
 			ImpVPct:        r.ImpV,
+			LB:             r.LB,
+			Gap:            r.Gap,
 			Backend:        r.Backend,
 			FailedRoutes:   r.FailedRoutes,
 			RuntimeSeconds: r.Runtime.Seconds(),

@@ -134,15 +134,16 @@ func TestSingleBackendPinsPipeline(t *testing.T) {
 // returns a conformance-clean mapping before the deadline, and does so
 // deterministically for a fixed seed.
 func TestPortfolioRescuesNoIncumbent(t *testing.T) {
-	pcfg := place.Config{Grid: 11, Mode: place.Monolithic, MaxNodes: 4}
+	pcfg := place.Config{Grid: 10, Mode: place.Monolithic, MaxNodes: 4}
 
-	// Find a seeded assay that actually defeats the capped search. The
-	// generator and the solver are deterministic, so the known-good seed
-	// (5, listed first) always hits on the current corpus; the loop keeps
-	// the test honest if either evolves.
+	// Find a seeded assay that actually defeats the capped search. Its
+	// greedy mapping must miss the counting bound, or the model is never
+	// built. The generator and the solver are deterministic, so the
+	// known-good seed (6, listed first) always hits on the current corpus;
+	// the loop keeps the test honest if either evolves.
 	var hard *graph.Assay
-	for _, seed := range []int64{5, 2, 1, 3, 4, 6, 7, 8} {
-		a := assays.Random(seed, assays.RandomOptions{MixOps: 8, Detects: 1})
+	for _, seed := range []int64{6, 5, 2, 1, 3, 4, 7, 8} {
+		a := assays.Random(seed, assays.RandomOptions{MixOps: 10, Detects: 1})
 		sched, err := schedule.List(a, schedule.Options{Resources: racePolicy(a)})
 		if err != nil {
 			continue

@@ -141,8 +141,10 @@ func TestRollingPCR(t *testing.T) {
 	if m.MaxPumpOps != 1 {
 		t.Errorf("rolling MaxPumpOps = %d, want 1", m.MaxPumpOps)
 	}
-	if m.Stats.ILPSolves == 0 {
-		t.Error("rolling horizon did not run any ILP")
+	// Every batch meets the counting bound, so none needs a model; the
+	// ILP path itself is exercised by TestRollingStatsCountCertifiedBatches.
+	if m.Stats.Certified == 0 || m.Stats.ILPSolves != 0 || m.Stats.ILPNodes != 0 {
+		t.Errorf("rolling PCR stats %+v, want every batch certified", m.Stats)
 	}
 }
 

@@ -3,6 +3,7 @@ package place
 import (
 	"mfsynth/internal/arch"
 	"mfsynth/internal/obs"
+	"mfsynth/internal/synerr"
 )
 
 // solveRolling runs the rolling-horizon decomposition: the ILP of
@@ -18,6 +19,9 @@ func (pr *problem) solveRolling(sp *obs.Span) (*Mapping, error) {
 	stats := Stats{Exact: true}
 
 	for start := 0; start < len(pr.ops); start += pr.cfg.BatchSize {
+		if err := pr.ctx.Err(); err != nil {
+			return nil, synerr.Deadline("place", err)
+		}
 		end := start + pr.cfg.BatchSize
 		if end > len(pr.ops) {
 			end = len(pr.ops)
@@ -30,10 +34,13 @@ func (pr *problem) solveRolling(sp *obs.Span) (*Mapping, error) {
 		if err != nil {
 			return nil, err
 		}
-		stats.ILPSolves++
+		stats.ILPSolves += info.solved
 		stats.ILPNodes += info.nodes
 		stats.RCRelaxed += info.rcRelaxed
 		stats.NoIncumbent += info.noIncumbent
+		if info.certified {
+			stats.Certified++
+		}
 		if !info.exact {
 			stats.Exact = false
 		}
@@ -47,7 +54,7 @@ func (pr *problem) solveRolling(sp *obs.Span) (*Mapping, error) {
 		}
 	}
 	// Decomposition never proves global optimality.
-	if stats.ILPSolves > 1 {
+	if len(pr.ops) > pr.cfg.BatchSize {
 		stats.Exact = false
 	}
 	return pr.finishMapping(fixed, stats), nil
@@ -63,11 +70,14 @@ func (pr *problem) solveMonolithic(sp *obs.Span) (*Mapping, error) {
 		return nil, err
 	}
 	stats := Stats{
-		ILPSolves:   1,
+		ILPSolves:   info.solved,
 		ILPNodes:    info.nodes,
 		RCRelaxed:   info.rcRelaxed,
 		Exact:       info.exact,
 		NoIncumbent: info.noIncumbent,
+	}
+	if info.certified {
+		stats.Certified = 1
 	}
 	return pr.finishMapping(placements, stats), nil
 }

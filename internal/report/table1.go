@@ -38,6 +38,9 @@ type Row struct {
 	Imp2            float64
 	OurValves       int     // #v (ours)
 	ImpV            float64 // valve-count improvement, percent
+	// LB is the counting lower bound on Vs1Pump (core.Result.PumpBound in
+	// setting-1 actuations) and Gap is Vs1Pump's distance above it.
+	LB, Gap int
 	// Backend names the producer whose mapping the row reports.
 	Backend string
 	// FailedRoutes counts transports the row's chip leaves unrouted; a
@@ -150,6 +153,8 @@ func Table1RowCtx(ctx context.Context, c assays.Case, policy int, opts RowOption
 		Runtime:      res.Runtime,
 		Phases:       res.PhaseSeconds,
 	}
+	n := res.Options().PumpActuations
+	row.LB, row.Gap = res.PumpBound*n, res.PumpGap*n
 	row.Imp1 = improvement(des.VsTmax, res.VsMax1)
 	row.Imp2 = improvement(des.VsTmax, res.VsMax2)
 	row.ImpV = improvement(des.Valves, res.UsedValves)
@@ -230,9 +235,9 @@ func Averages(rows []*Row) (imp1, imp2, impV float64) {
 // marked with * and counted in a footnote.
 func Render(rows []*Row) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-22s %-8s %-3s %3s %-24s %8s %5s | %9s %8s %9s %8s %5s %7s %8s %s\n",
+	fmt.Fprintf(&sb, "%-22s %-8s %-3s %3s %-24s %8s %5s | %9s %8s %9s %8s %5s %7s %4s %4s %8s %s\n",
 		"case", "#op", "po.", "#d", "#m4-6-8-10", "vs_tmax", "#v",
-		"vs1max", "imp1", "vs2max", "imp2", "#v", "impv", "T", "by")
+		"vs1max", "imp1", "vs2max", "imp2", "#v", "impv", "lb", "gap", "T", "by")
 	incomplete := 0
 	for _, r := range rows {
 		mark := ""
@@ -240,10 +245,10 @@ func Render(rows []*Row) string {
 			mark = "*"
 			incomplete++
 		}
-		fmt.Fprintf(&sb, "%-22s %-8s p%-2d %3d %-24s %8d %5d | %4d(%3d) %7.2f%% %4d(%3d) %7.2f%% %5d %6.2f%% %7.1fs %s%s\n",
+		fmt.Fprintf(&sb, "%-22s %-8s p%-2d %3d %-24s %8d %5d | %4d(%3d) %7.2f%% %4d(%3d) %7.2f%% %5d %6.2f%% %4d %4d %7.1fs %s%s\n",
 			r.Case, r.Ops, r.Policy, r.NumDevices, r.MixVector, r.VsTmax, r.TradValves,
 			r.Vs1Max, r.Vs1Pump, r.Imp1, r.Vs2Max, r.Vs2Pump, r.Imp2,
-			r.OurValves, r.ImpV, r.Runtime.Seconds(), r.Backend, mark)
+			r.OurValves, r.ImpV, r.LB, r.Gap, r.Runtime.Seconds(), r.Backend, mark)
 	}
 	i1, i2, iv := Averages(rows)
 	fmt.Fprintf(&sb, "%-22s %68s | %9s %7.2f%% %9s %7.2f%% %5s %6.2f%%\n",
