@@ -98,6 +98,11 @@ func TestTable1RowGreedy(t *testing.T) {
 	if row.Vs1Pump != 40 {
 		t.Errorf("Vs1Pump = %d, want 40", row.Vs1Pump)
 	}
+	// PCR's 56 ring cells fit the 100 inner valves once: the bound is one
+	// pump use (40 actuations) and the row meets it.
+	if row.LB != 40 || row.Gap != 0 {
+		t.Errorf("LB/Gap = %d/%d, want 40/0", row.LB, row.Gap)
+	}
 	if row.Imp1 < 50 {
 		t.Errorf("Imp1 = %.2f%%, want > 50%% (paper: 71.88%%)", row.Imp1)
 	}
