@@ -1,5 +1,9 @@
-# Tier-1: the seed contract — everything builds, vets clean, all tests pass.
+# Tier-1: the seed contract — every tracked Go file is gofmt-clean (the
+# tracked-file list keeps build caches out of the scan), everything builds,
+# vets clean, all tests pass.
 tier1:
+	@drift=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$drift" ]; then echo "gofmt -l lists:"; echo "$$drift"; exit 1; fi
 	go build ./...
 	go vet ./...
 	go test ./...
@@ -16,11 +20,12 @@ tier2:
 # race test), and two artefact smoke checks on a real mfsynth run: the
 # Chrome trace must carry all four pipeline phases and per-worker tracks,
 # and the live-progress JSONL log must satisfy the stream invariants
-# (tracecheck validates both).
+# (tracecheck validates both). The run lists anneal among its producers
+# because the anneal replicate pool is what draws the per-worker tracks.
 tier3:
 	go vet ./...
 	go test -race ./internal/obs/... ./internal/par/
-	go run ./cmd/mfsynth -case PCR -workers 2 -trace .tier3-trace.json -progress-log .tier3-progress.jsonl >/dev/null
+	go run ./cmd/mfsynth -case PCR -workers 2 -backends ilp,greedy,anneal -trace .tier3-trace.json -progress-log .tier3-progress.jsonl >/dev/null
 	go run ./tools/tracecheck -require-workers .tier3-trace.json
 	go run ./tools/tracecheck -progress .tier3-progress.jsonl
 	rm -f .tier3-trace.json .tier3-progress.jsonl
@@ -84,8 +89,8 @@ tier8:
 perfbench:
 	cd perfbench && go vet . && go test .
 
-# Serial-vs-parallel benchmarks of the multi-start greedy fan-out and the
-# Table 1 cell fan-out (ns/op and allocs/op per worker count).
+# Serial-vs-parallel benchmark of the Table 1 cell fan-out (ns/op and
+# allocs/op per worker count).
 bench-parallel:
 	go test -run '^$$' -bench=Parallel -benchmem .
 

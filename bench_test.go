@@ -290,55 +290,6 @@ func BenchmarkAblationNoRoutingConvenient_PCR(b *testing.B) {
 
 // --- Parallel engine --------------------------------------------------
 
-// benchSynthesizeWorkers runs the full synthesis with a fixed worker count;
-// the reported metrics are identical for every count (the deterministic
-// merge contract), only ns/op changes with the core count.
-func benchSynthesizeWorkers(b *testing.B, name string, mode place.Mode, workers int) {
-	b.Helper()
-	c, err := assays.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	des, err := baseline.Traditional(c, 1, baseline.DefaultCost)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var vs1 int
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := core.Synthesize(c.Assay, core.Options{
-			Policy:  schedule.Resources{Mixers: des.Mixers, Detectors: c.Detectors},
-			Place:   place.Config{Grid: c.GridSize, Mode: mode},
-			Workers: workers,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		vs1 = res.VsMax1
-	}
-	b.ReportMetric(float64(vs1), "vs1max")
-}
-
-// BenchmarkParallelGreedy_MixingTree exercises the concurrent multi-start
-// greedy fan-out (32 variants per batch) at several worker counts.
-func BenchmarkParallelGreedy_MixingTree(b *testing.B) {
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchSynthesizeWorkers(b, "MixingTree", place.Greedy, w)
-		})
-	}
-}
-
-// BenchmarkParallelRolling_PCR runs the rolling-horizon mapper, whose
-// batches fan out their multi-start greedy, at several worker counts.
-func BenchmarkParallelRolling_PCR(b *testing.B) {
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchSynthesizeWorkers(b, "PCR", place.RollingHorizon, w)
-		})
-	}
-}
-
 // BenchmarkParallelTable1Greedy evaluates all twelve Table 1 cells
 // (greedy mapper) with the cell-level fan-out of report.Table1.
 func BenchmarkParallelTable1Greedy(b *testing.B) {

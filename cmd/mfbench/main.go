@@ -257,24 +257,12 @@ func runCampaigns(ctx context.Context, runs int, seed int64, rate float64, fast 
 	fmt.Println()
 }
 
-// fanout splits the worker budget between a section's independent cells and
-// each cell's mapper: with more than one worker the cells run concurrently
-// and every mapper is serial, otherwise the single cell stream passes the
-// knob through. Results are identical either way.
-func fanout(workers int) (outer, inner int) {
-	outer = par.Workers(workers)
-	if outer > 1 {
-		return outer, 1
-	}
-	return outer, workers
-}
-
 // printExtensions runs the experiments beyond the paper's evaluation: the
 // execution-speedup future-work direction, the wear/lifetime model and the
 // control-pin analysis. The independent case × policy cells of each section
 // are evaluated concurrently and printed in the fixed serial order.
 func printExtensions(ctx context.Context, workers int, tr *mfsynth.Trace) {
-	outer, inner := fanout(workers)
+	workers = par.Workers(workers)
 	names := mfsynth.CaseNames()
 
 	fmt.Println("== Extension: execution speedup with dynamic devices (paper §5 future work) ==")
@@ -292,7 +280,7 @@ func printExtensions(ctx context.Context, workers int, tr *mfsynth.Trace) {
 		s   *mfsynth.Speedup
 		err error
 	}
-	speedups, perr := par.MapCtx(ctx, outer, len(cells), func(_, i int) (speedRes, error) {
+	speedups, perr := par.MapCtx(ctx, workers, len(cells), func(i int) (speedRes, error) {
 		c, err := mfsynth.CaseByName(cells[i].name)
 		if err != nil {
 			return speedRes{err: err}, nil
@@ -325,17 +313,16 @@ func printExtensions(ctx context.Context, workers int, tr *mfsynth.Trace) {
 	type wearRes struct {
 		trad, ours []int
 	}
-	wearRows, err := par.MapCtx(ctx, outer, len(names), func(_, i int) (wearRes, error) {
+	wearRows, err := par.MapCtx(ctx, workers, len(names), func(i int) (wearRes, error) {
 		c, _ := mfsynth.CaseByName(names[i])
 		des, err := mfsynth.Traditional(c, 1, mfsynth.DefaultCost)
 		if err != nil {
 			return wearRes{}, err
 		}
 		res, err := mfsynth.SynthesizeCtx(ctx, c.Assay, mfsynth.Options{
-			Policy:  mfsynth.Resources{Mixers: des.Mixers, Detectors: c.Detectors},
-			Place:   mfsynth.PlaceConfig{Grid: c.GridSize, Mode: mfsynth.GreedyPlace},
-			Workers: inner,
-			Trace:   tr,
+			Policy: mfsynth.Resources{Mixers: des.Mixers, Detectors: c.Detectors},
+			Place:  mfsynth.PlaceConfig{Grid: c.GridSize, Mode: mfsynth.GreedyPlace},
+			Trace:  tr,
 		})
 		if err != nil {
 			return wearRes{}, err
@@ -365,13 +352,12 @@ func printExtensions(ctx context.Context, workers int, tr *mfsynth.Trace) {
 		contam mfsynth.ContaminationReport
 		plan   mfsynth.WashPlan
 	}
-	ctrlRows, err := par.MapCtx(ctx, outer, len(names), func(_, i int) (ctrlRes, error) {
+	ctrlRows, err := par.MapCtx(ctx, workers, len(names), func(i int) (ctrlRes, error) {
 		c, _ := mfsynth.CaseByName(names[i])
 		res, err := mfsynth.SynthesizeCtx(ctx, c.Assay, mfsynth.Options{
-			Policy:  mfsynth.Resources{Mixers: c.BaseMixers, Detectors: c.Detectors},
-			Place:   mfsynth.PlaceConfig{Grid: c.GridSize, Mode: mfsynth.GreedyPlace},
-			Workers: inner,
-			Trace:   tr,
+			Policy: mfsynth.Resources{Mixers: c.BaseMixers, Detectors: c.Detectors},
+			Place:  mfsynth.PlaceConfig{Grid: c.GridSize, Mode: mfsynth.GreedyPlace},
+			Trace:  tr,
 		})
 		if err != nil {
 			return ctrlRes{}, err
@@ -408,15 +394,14 @@ func printExtensions(ctx context.Context, workers int, tr *mfsynth.Trace) {
 		res *mfsynth.Result
 		err error
 	}
-	vitro, verr := par.MapCtx(ctx, outer, len(sizes), func(_, i int) (vitroRes, error) {
+	vitro, verr := par.MapCtx(ctx, workers, len(sizes), func(i int) (vitroRes, error) {
 		s := sizes[i]
 		a := mfsynth.InVitro(s, s, 8)
 		grid := 12 + 2*(s-2)
 		res, err := mfsynth.SynthesizeCtx(ctx, a, mfsynth.Options{
-			Policy:  mfsynth.Resources{Mixers: map[int]int{8: s}, Detectors: s},
-			Place:   mfsynth.PlaceConfig{Grid: grid, Mode: mfsynth.GreedyPlace},
-			Workers: inner,
-			Trace:   tr,
+			Policy: mfsynth.Resources{Mixers: map[int]int{8: s}, Detectors: s},
+			Place:  mfsynth.PlaceConfig{Grid: grid, Mode: mfsynth.GreedyPlace},
+			Trace:  tr,
 		})
 		return vitroRes{a: a, res: res, err: err}, nil
 	})

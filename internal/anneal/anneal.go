@@ -23,6 +23,7 @@ package anneal
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 
@@ -75,7 +76,7 @@ type Config struct {
 	// temp(i) = InitTemp · Cooling^i (defaults 1.5 and 0.998).
 	InitTemp float64
 	Cooling  float64
-	// Workers bounds the replicate fan-out (0 = Place.Workers resolution,
+	// Workers bounds the replicate fan-out (0 = runtime.GOMAXPROCS,
 	// 1 = serial). Results and counters are bit-identical at any worker
 	// count provided the context does not cancel mid-run (a deadline cuts
 	// replicates at timing-dependent iterations).
@@ -106,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Cooling == 0 {
 		c.Cooling = DefaultCooling
-	}
-	if c.Workers == 0 {
-		c.Workers = c.Place.Workers
 	}
 	return c
 }
@@ -208,13 +206,12 @@ func MapCtx(ctx context.Context, res *schedule.Result, cfg Config) (*place.Mappi
 	// Replicate errors and cut-shorts travel inside the result struct; the
 	// pool error is either a recovered panic or the context cancellation,
 	// and cancellation must not discard the incumbents already collected.
-	results, poolErr := par.MapCtx(parCtx, workers, cfg.Replicates, func(_, rep int) (*replicate, error) {
+	results, poolErr := par.MapCtx(parCtx, workers, cfg.Replicates, func(rep int) (*replicate, error) {
 		return runReplicate(ctx, inst, cfg, rep), nil
 	})
-	if tp := (*par.TaskPanic)(nil); poolErr != nil {
-		if asTaskPanic(poolErr, &tp) {
-			return nil, Stats{}, poolErr
-		}
+	var tp *par.TaskPanic
+	if errors.As(poolErr, &tp) {
+		return nil, Stats{}, poolErr
 	}
 
 	// Deterministic merge: scan replicates in index order, keep the first
@@ -268,24 +265,6 @@ func MapCtx(ctx context.Context, res *schedule.Result, cfg Config) (*place.Mappi
 		obs.KV("best_replicate", stats.BestReplicate),
 		obs.KV("cut_short", stats.CutShort))
 	return m, stats, nil
-}
-
-// asTaskPanic reports whether err wraps a worker panic. Plain context
-// errors from the pool are expected under a deadline and must not abort
-// the merge.
-func asTaskPanic(err error, tp **par.TaskPanic) bool {
-	for e := err; e != nil; {
-		if p, ok := e.(*par.TaskPanic); ok {
-			*tp = p
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
 }
 
 // mix64 is a splitmix64 finaliser: replicate seeds decorrelate even for

@@ -61,11 +61,9 @@ type Options struct {
 	// DisableStoragePassthrough treats in situ storages as routing
 	// obstacles (the Fig. 8(a) behaviour; ablation of Section 3.5).
 	DisableStoragePassthrough bool
-	// Workers bounds the synthesis-internal parallelism — the multi-start
-	// greedy fan-out and the anneal replicates
-	// (0 = runtime.GOMAXPROCS, 1 = serial). Every value produces
-	// bit-identical results; only wall-clock time changes.
-	// Place.Workers, when set, takes precedence.
+	// Workers bounds the synthesis-internal parallelism, the anneal
+	// replicate fan-out (0 = runtime.GOMAXPROCS, 1 = serial). Every value
+	// produces bit-identical results; only wall-clock time changes.
 	Workers int
 	// Trace, when non-nil, records a hierarchical span tree and metrics for
 	// the run (one root span per Synthesize call). Tracing never changes
@@ -121,9 +119,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Place.Grid == 0 {
 		o.Place.Grid = 10
-	}
-	if o.Place.Workers == 0 {
-		o.Place.Workers = o.Workers
 	}
 	if o.WearBias > 0 && len(o.WearCounts) > 0 && o.Place.WearPrior == nil {
 		o.Place.WearPrior = WearPriorUnits(o.WearCounts, o.WearBias, o.PumpActuations)
@@ -284,7 +279,7 @@ func SynthesizeCtx(ctx context.Context, a *graph.Assay, opts Options) (res *Resu
 	opts = opts.withDefaults()
 	root := opts.Trace.Start("synthesize",
 		obs.KV("assay", a.Name), obs.KV("grid", opts.Place.Grid),
-		obs.KV("workers", opts.Place.Workers))
+		obs.KV("workers", opts.Workers))
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("core: synthesis panic: %v", p)

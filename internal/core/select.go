@@ -233,8 +233,9 @@ func (c candidate) config(base place.Config) place.Config {
 	return cfg
 }
 
-// produce runs the candidate's mapper.
-func (c candidate) produce(ctx context.Context, sched *schedule.Result, cfg place.Config, an AnnealOptions) (*place.Mapping, error) {
+// produce runs the candidate's mapper; workers bounds the anneal
+// replicate fan-out.
+func (c candidate) produce(ctx context.Context, sched *schedule.Result, cfg place.Config, an AnnealOptions, workers int) (*place.Mapping, error) {
 	if c.backend != BackendAnneal {
 		return place.MapCtx(ctx, sched, cfg)
 	}
@@ -246,7 +247,7 @@ func (c candidate) produce(ctx context.Context, sched *schedule.Result, cfg plac
 		Iters:      an.Iters,
 		InitTemp:   an.InitTemp,
 		Cooling:    an.Cooling,
-		Workers:    cfg.Workers,
+		Workers:    workers,
 		Obs:        cfg.Obs,
 	})
 	return m, err
@@ -448,7 +449,7 @@ func runTier(ctx context.Context, a *graph.Assay, sched *schedule.Result, opts O
 				cfg.Obs = placeSp
 				var m *place.Mapping
 				phaseDo(ctx, "place", func(ctx context.Context) {
-					m, l.err = c.produce(ctx, sched, cfg, opts.Anneal)
+					m, l.err = c.produce(ctx, sched, cfg, opts.Anneal, opts.Workers)
 				})
 				placeSp.End()
 				l.mapEnd = time.Now()

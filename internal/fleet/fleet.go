@@ -197,7 +197,7 @@ func valveLife(cfg Config, chip, v int) int {
 	if cfg.LifeSpread == 0 {
 		return cfg.Rated
 	}
-	h := mix64(mix64(uint64(cfg.Seed)) ^ (uint64(chip)<<32 | uint64(v)+1))
+	h := mix64(mix64(uint64(cfg.Seed)) ^ (uint64(chip)<<32 | uint64(v) + 1))
 	u := float64(h>>11) / (1 << 53) // uniform [0, 1)
 	life := int(float64(cfg.Rated)*(1-cfg.LifeSpread) + float64(cfg.Rated)*2*cfg.LifeSpread*u + 0.5)
 	if life < 1 {

@@ -196,7 +196,7 @@ var ErrBadModel = errors.New("lp: bad model")
 // Solve runs presolve followed by two-phase bounded simplex. The problem
 // is not modified. The returned solution has Status Optimal, Infeasible,
 // Unbounded or IterLimit; X is only meaningful for Optimal.
-func (p *Problem) Solve() (*Solution, error) { return p.SolvePresolved() }
+func (p *Problem) Solve() (*Solution, error) { return p.SolveScratch(nil) }
 
 // tableau is the dense working form. All structural variables are shifted so
 // their lower bound is 0; nonbasic variables rest at value 0 ("low") or at

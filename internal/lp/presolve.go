@@ -100,13 +100,9 @@ func (pr *presolved) expand(p *Problem, sol *Solution) *Solution {
 	return &Solution{Status: sol.Status, Obj: sol.Obj, X: x, Iters: sol.Iters}
 }
 
-// SolvePresolved runs reduce + simplex + expand. Problem.Solve delegates
-// here; the split exists so tests can target the presolve path directly.
-func (p *Problem) SolvePresolved() (*Solution, error) { return p.SolveScratch(nil) }
-
-// SolveScratch is SolvePresolved drawing its tableau from the given arena
-// (nil = allocate fresh). Branch-and-bound callers keep one Scratch and
-// pass it to every node solve.
+// SolveScratch runs reduce + simplex + expand, drawing its tableau from
+// the given arena (nil = allocate fresh). Branch-and-bound callers keep
+// one Scratch and pass it to every node solve.
 func (p *Problem) SolveScratch(scratch *Scratch) (*Solution, error) {
 	for i := range p.rows {
 		for _, t := range p.rows[i] {

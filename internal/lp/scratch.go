@@ -10,10 +10,10 @@ package lp
 // grows monotonically and zeroes what it hands out) but must not be shared
 // by concurrent solves — give each worker its own.
 type Scratch struct {
-	f    []float64
-	ints []int
-	bs   []bool
-	rows [][]float64
+	f                []float64
+	ints             []int
+	bs               []bool
+	rows             [][]float64
 	fOff, iOff, bOff int
 }
 

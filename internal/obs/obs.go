@@ -47,8 +47,8 @@ func KV(key string, val any) Attr { return Attr{Key: key, Val: val} }
 // is not usable; construct with New. A nil *Trace no-ops everywhere.
 type Trace struct {
 	metrics *Metrics
-	epoch   time.Time             // wall-clock anchor; span times are offsets
-	clock   func() time.Duration  // monotonic offset source (tests override)
+	epoch   time.Time            // wall-clock anchor; span times are offsets
+	clock   func() time.Duration // monotonic offset source (tests override)
 
 	progressMu sync.Mutex
 	progress   *ProgressBus // nil until EnableProgress

@@ -13,6 +13,14 @@ import (
 	"mfsynth/internal/par"
 )
 
+// runPool runs no-op tasks through the worker pool.
+func runPool(ctx context.Context, workers, tasks int) error {
+	_, err := par.MapCtx(ctx, workers, tasks, func(i int) (struct{}, error) {
+		return struct{}{}, nil
+	})
+	return err
+}
+
 // poolShape runs tasks through an observed pool and returns the span tree
 // as sorted "name<-parentName" edges — the scheduling-independent shape.
 func poolShape(t *testing.T, workers, tasks int) []string {
@@ -23,10 +31,7 @@ func poolShape(t *testing.T, workers, tasks int) []string {
 	if po := tr.Pool(root, "variant"); po != nil {
 		ctx = par.WithObserver(ctx, po)
 	}
-	err := par.DoCtx(ctx, workers, tasks, func(slot, i int) error {
-		return nil
-	})
-	if err != nil {
+	if err := runPool(ctx, workers, tasks); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -79,7 +84,7 @@ func TestPoolMetrics(t *testing.T) {
 		t.Fatal("Pool returned nil for a live trace")
 	}
 	ctx := par.WithObserver(context.Background(), po)
-	if err := par.DoCtx(ctx, 2, 9, func(slot, i int) error { return nil }); err != nil {
+	if err := runPool(ctx, 2, 9); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -111,7 +116,7 @@ func TestPoolTaskTracks(t *testing.T) {
 	tr := New()
 	root := tr.Start("run")
 	ctx := par.WithObserver(context.Background(), tr.Pool(root, "task"))
-	if err := par.DoCtx(ctx, 3, 12, func(slot, i int) error { return nil }); err != nil {
+	if err := runPool(ctx, 3, 12); err != nil {
 		t.Fatal(err)
 	}
 	root.End()

@@ -12,7 +12,7 @@ import (
 // error, regardless of the worker knob.
 func TestMapEmptyInput(t *testing.T) {
 	for _, workers := range []int{1, 4, 0} {
-		out, err := Map(workers, 0, func(slot, i int) (int, error) {
+		out, err := Map(workers, 0, func(i int) (int, error) {
 			t.Fatal("fn called for empty input")
 			return 0, nil
 		})
@@ -41,7 +41,7 @@ func TestPanicPropagation(t *testing.T) {
 					done <- nil
 				}
 			}()
-			_, err := Map(workers, 20, func(slot, i int) (int, error) {
+			_, err := Map(workers, 20, func(i int) (int, error) {
 				ran.Add(1)
 				if i == 7 || i == 13 {
 					panic(i)
@@ -80,7 +80,7 @@ func TestPanicPropagation(t *testing.T) {
 // BenchmarkMapFanout measures the pool's per-task overhead against the
 // inline (workers=1) path on a tiny CPU-bound work function.
 func BenchmarkMapFanout(b *testing.B) {
-	work := func(slot, i int) (int, error) {
+	work := func(i int) (int, error) {
 		s := 0
 		for k := 0; k < 256; k++ {
 			s += k * i

@@ -2,18 +2,13 @@
 // synthesis engine: a bounded fork/join worker pool with ordered fan-out
 // and fan-in.
 //
-// Every helper takes an explicit worker count (0 resolves to
-// runtime.GOMAXPROCS, 1 runs inline with no goroutines) and returns
-// results in input-index order, so callers that merge results by scanning
-// the returned slice front to back observe exactly the order a serial
-// loop would have produced. Determinism of the *merge* is therefore the
-// caller's only obligation; the scheduling of the work itself is free to
-// be arbitrary.
-//
-// Work functions receive a slot index in [0, workers) identifying the
-// executing worker, so callers can key per-worker scratch state (LP
-// clones, tableau arenas) off it without locking: two invocations with
-// the same slot never run concurrently.
+// Map and MapCtx take an explicit worker count (resolve a user knob with
+// Workers first; a count of 1 or less runs inline with no goroutines) and
+// return results in input-index order, so callers that merge results by
+// scanning the returned slice front to back observe exactly the order a
+// serial loop would have produced. Determinism of the *merge* is
+// therefore the caller's only obligation; the scheduling of the work
+// itself is free to be arbitrary.
 //
 // A panicking task does not crash the pool or deadlock it: panics are
 // recovered per task, the remaining tasks still run, and after the join
@@ -67,7 +62,7 @@ type Observer interface {
 // observerKey keys the Observer in a context.
 type observerKey struct{}
 
-// WithObserver attaches an Observer to the context for MapCtx/DoCtx.
+// WithObserver attaches an Observer to the context for MapCtx.
 // Callers holding a concrete observer pointer must guard against typed
 // nils themselves (`if po != nil { ctx = par.WithObserver(ctx, po) }`) —
 // a non-nil interface wrapping a nil pointer would be called.
@@ -92,23 +87,22 @@ func (p *TaskPanic) Error() string {
 }
 
 // Map applies fn to every index in [0, n) using at most workers
-// concurrent goroutines and returns the n results in index order. fn is
-// called as fn(slot, i) where slot identifies the executing worker (two
-// calls with equal slot never overlap) and i is the work index.
+// concurrent goroutines and returns the n results in index order.
 //
 // All indices are attempted even when some fail; the returned error is
 // the lowest-index error (deterministic regardless of scheduling), with
 // the full results slice still returned so callers can salvage partial
 // work. With workers <= 1 (after Workers resolution the caller applies)
-// everything runs inline on the calling goroutine with slot 0.
-func Map[R any](workers, n int, fn func(slot, i int) (R, error)) ([]R, error) {
+// everything runs inline on the calling goroutine.
+func Map[R any](workers, n int, fn func(i int) (R, error)) ([]R, error) {
 	return MapCtx[R](context.Background(), workers, n, fn)
 }
 
-// MapCtx is Map with context cancellation: indices not yet started when
-// ctx is cancelled are skipped (their results stay zero) and the context
-// error is returned unless an earlier per-index error takes precedence.
-func MapCtx[R any](ctx context.Context, workers, n int, fn func(slot, i int) (R, error)) ([]R, error) {
+// MapCtx is Map with context cancellation and observer support: indices
+// not yet started when ctx is cancelled are skipped (their results stay
+// zero) and the context error is returned unless an earlier per-index
+// error takes precedence.
+func MapCtx[R any](ctx context.Context, workers, n int, fn func(i int) (R, error)) ([]R, error) {
 	results := make([]R, n)
 	errs := make([]error, n)
 	if n == 0 {
@@ -131,7 +125,7 @@ func MapCtx[R any](ctx context.Context, workers, n int, fn func(slot, i int) (R,
 				obs.TaskDone(slot, i)
 			}
 		}()
-		results[i], errs[i] = fn(slot, i)
+		results[i], errs[i] = fn(i)
 	}
 	if obs != nil {
 		obs.PoolStart(workers, n)
@@ -194,30 +188,6 @@ func mergePanics(errs []error, panics []*TaskPanic) {
 			errs[i] = p
 		}
 	}
-}
-
-// Do is Map for side-effecting work without a result value.
-func Do(workers, n int, fn func(slot, i int) error) error {
-	return DoCtx(context.Background(), workers, n, fn)
-}
-
-// DoCtx is Do with context cancellation and observer support.
-func DoCtx(ctx context.Context, workers, n int, fn func(slot, i int) error) error {
-	_, err := MapCtx(ctx, workers, n, func(slot, i int) (struct{}, error) {
-		return struct{}{}, fn(slot, i)
-	})
-	return err
-}
-
-// Reduce folds the results of a completed ordered fan-out front to back:
-// acc = merge(acc, results[i]) for i = 0..len-1. It exists to make the
-// deterministic-merge contract explicit at call sites; merge must treat
-// its first argument as the accumulated best-so-far.
-func Reduce[R, A any](results []R, acc A, merge func(A, R) A) A {
-	for _, r := range results {
-		acc = merge(acc, r)
-	}
-	return acc
 }
 
 // firstError returns the lowest-index non-nil error, falling back to tail

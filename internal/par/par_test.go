@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkers(t *testing.T) {
@@ -23,7 +25,7 @@ func TestWorkers(t *testing.T) {
 
 func TestMapOrdered(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
-		out, err := Map(workers, 100, func(slot, i int) (int, error) {
+		out, err := Map(workers, 100, func(i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -40,7 +42,7 @@ func TestMapOrdered(t *testing.T) {
 func TestMapFirstErrorByIndex(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		want := errors.New("boom-3")
-		_, err := Map(workers, 10, func(slot, i int) (int, error) {
+		_, err := Map(workers, 10, func(i int) (int, error) {
 			switch i {
 			case 3:
 				return 0, want
@@ -58,7 +60,7 @@ func TestMapFirstErrorByIndex(t *testing.T) {
 func TestMapAllIndicesRunDespiteError(t *testing.T) {
 	var mu sync.Mutex
 	ran := make(map[int]bool)
-	_, err := Map(4, 20, func(slot, i int) (int, error) {
+	_, err := Map(4, 20, func(i int) (int, error) {
 		mu.Lock()
 		ran[i] = true
 		mu.Unlock()
@@ -75,31 +77,79 @@ func TestMapAllIndicesRunDespiteError(t *testing.T) {
 	}
 }
 
+// slotObserver checks the Observer contract the per-worker trace tracks
+// rely on: TaskStart/TaskDone calls with equal slot never overlap, and
+// every slot lies in [0, workers).
+type slotObserver struct {
+	mu      sync.Mutex
+	workers int
+	busy    []bool
+	err     error
+}
+
+func (o *slotObserver) PoolStart(workers, tasks int) {
+	o.workers = workers
+	o.busy = make([]bool, workers)
+}
+
+func (o *slotObserver) TaskStart(slot, i int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	switch {
+	case slot < 0 || slot >= o.workers:
+		o.fail(fmt.Errorf("task %d on slot %d outside [0, %d)", i, slot, o.workers))
+	case o.busy[slot]:
+		o.fail(fmt.Errorf("slot %d reentered by task %d", slot, i))
+	default:
+		o.busy[slot] = true
+	}
+}
+
+func (o *slotObserver) TaskDone(slot, i int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if slot >= 0 && slot < o.workers {
+		o.busy[slot] = false
+	}
+}
+
+func (o *slotObserver) PoolDone() {}
+
+// fail records the first violation; o.mu must be held.
+func (o *slotObserver) fail(err error) {
+	if o.err == nil {
+		o.err = err
+	}
+}
+
 func TestMapSlotExclusive(t *testing.T) {
 	const workers = 4
-	busy := make([]bool, workers)
-	var mu sync.Mutex
-	err := Do(workers, 200, func(slot, i int) error {
-		mu.Lock()
-		if busy[slot] {
-			mu.Unlock()
-			return fmt.Errorf("slot %d reentered", slot)
+	o := &slotObserver{}
+	var inFlight atomic.Int32
+	all := make(chan struct{})
+	_, err := MapCtx(WithObserver(context.Background(), o), workers, 200, func(i int) (int, error) {
+		if i < workers {
+			// The first tasks wait until all of them run at once, so every
+			// worker holds one and their slots must differ.
+			if inFlight.Add(1) == workers {
+				close(all)
+			}
+			select {
+			case <-all:
+			case <-time.After(10 * time.Second):
+				return 0, fmt.Errorf("task %d: only %d of %d tasks ran at once", i, inFlight.Load(), workers)
+			}
 		}
-		busy[slot] = true
-		mu.Unlock()
-		// A tiny amount of real work to give overlap a chance.
-		s := 0
-		for k := 0; k < 1000; k++ {
-			s += k
-		}
-		_ = s
-		mu.Lock()
-		busy[slot] = false
-		mu.Unlock()
-		return nil
+		return i, nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if o.workers != workers {
+		t.Fatalf("PoolStart saw %d workers, want %d", o.workers, workers)
+	}
+	if o.err != nil {
+		t.Fatal(o.err)
 	}
 }
 
@@ -116,39 +166,12 @@ func TestMapCtxCancel(t *testing.T) {
 }
 
 // cancelAfter builds a work fn that cancels the context after 5 items.
-func cancelAfter(started *int, cancel context.CancelFunc) func(int, int) (int, error) {
-	return func(slot, i int) (int, error) {
+func cancelAfter(started *int, cancel context.CancelFunc) func(int) (int, error) {
+	return func(i int) (int, error) {
 		*started++
 		if *started == 5 {
 			cancel()
 		}
 		return i, nil
-	}
-}
-
-func TestReduce(t *testing.T) {
-	out, err := Map(4, 10, func(slot, i int) (int, error) { return i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := Reduce(out, 0, func(acc, v int) int { return acc + v })
-	if sum != 45 {
-		t.Fatalf("sum = %d", sum)
-	}
-	// Order-sensitive fold: first index wins ties, like the serial loops.
-	first := Reduce(out, -1, func(acc, v int) int {
-		if acc >= 0 {
-			return acc
-		}
-		return v
-	})
-	if first != 0 {
-		t.Fatalf("first = %d", first)
-	}
-}
-
-func TestDoZeroItems(t *testing.T) {
-	if err := Do(8, 0, func(slot, i int) error { return errors.New("never") }); err != nil {
-		t.Fatal(err)
 	}
 }

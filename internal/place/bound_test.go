@@ -48,7 +48,7 @@ func tinyProblem(t *testing.T, seed int64) (*schedule.Result, Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Grid: 5 + rng.Intn(3), Workers: 1, MaxNodes: 64, SolveTimeout: time.Hour}
+	cfg := Config{Grid: 5 + rng.Intn(3), MaxNodes: 64, SolveTimeout: time.Hour}
 	if rng.Intn(2) == 0 {
 		cfg.WearPrior = make([]int, cfg.Grid*cfg.Grid)
 		for i := range cfg.WearPrior {

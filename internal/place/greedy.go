@@ -7,7 +7,6 @@ import (
 	"mfsynth/internal/graph"
 	"mfsynth/internal/grid"
 	"mfsynth/internal/obs"
-	"mfsynth/internal/par"
 	"mfsynth/internal/storage"
 	"mfsynth/internal/synerr"
 )
@@ -75,8 +74,8 @@ type greedyInfo struct {
 }
 
 // greedyVariant is one multi-start knob combination. Variants are built as
-// an explicit deduplicated list so the serial loop and the parallel
-// fan-out iterate the exact same sequence.
+// an explicit deduplicated list, so the multi-start loop never runs the
+// same combination twice.
 type greedyVariant struct {
 	rootOff   grid.Point
 	shapeRot  int
@@ -145,14 +144,12 @@ func greedyDone(st *greedyState) bool {
 // multiStartGreedy places the free operations on top of the fixed context,
 // trying several deterministic variants (root-lattice offsets × shape-order
 // rotations) and keeping the best by (max pump load, load spread, RC
-// relaxations). With Config.Workers != 1 the variants run concurrently;
-// the merge scans results in variant order with the same early-exit rule,
-// so the chosen state is identical to the serial loop's.
+// relaxations).
 func (pr *problem) multiStartGreedy(sp *obs.Span, free []int, fixed map[int]arch.Placement, pump map[grid.Point]int) (map[int]arch.Placement, greedyInfo, error) {
 	variants := pr.greedyVariants(greedyRuns, true, 0)
 	gsp := sp.Start("place.greedy",
 		obs.KV("ops", len(free)), obs.KV("variants", len(variants)))
-	best, firstErr := pr.bestVariant(gsp, variants, nil, true, free, fixed, pump)
+	best, firstErr := pr.bestVariant(variants, nil, true, free, fixed, pump)
 	if best == nil {
 		gsp.Set(obs.KV("error", "infeasible"))
 		gsp.End()
@@ -166,7 +163,7 @@ func (pr *problem) multiStartGreedy(sp *obs.Span, free []int, fixed map[int]arch
 	// opposite of the balancing the prior asks for.
 	if best.maxPump > 1 && !pr.wearAware() {
 		packing := pr.greedyVariants(greedyRuns/2, false, best.maxPump)
-		best, _ = pr.bestVariant(gsp, packing, best, false, free, fixed, pump)
+		best, _ = pr.bestVariant(packing, best, false, free, fixed, pump)
 	}
 	gsp.Set(obs.KV("max_pump", best.maxPump), obs.KV("rc_relaxed", best.rcRelaxed))
 	gsp.End()
@@ -174,63 +171,22 @@ func (pr *problem) multiStartGreedy(sp *obs.Span, free []int, fixed map[int]arch
 	return best.fixed, greedyInfo{maxPump: best.maxPump, rcRelaxed: best.rcRelaxed}, nil
 }
 
-// bestVariant runs the variants (serially or fanned out over the worker
-// pool) and merges them deterministically: scan in variant order, keep the
-// first state that beats the incumbent, and — when earlyExit is set (the
-// main phase; the legacy packing loop has no early exit) — stop
-// considering further variants once the early-exit rule fires. The merge
-// order makes the chosen state identical to the serial loop's regardless
-// of worker count.
-func (pr *problem) bestVariant(sp *obs.Span, variants []greedyVariant, best *greedyState, earlyExit bool, free []int, fixed map[int]arch.Placement, pump map[grid.Point]int) (*greedyState, error) {
+// bestVariant runs the variants in order and keeps the first state that
+// beats the incumbent. When earlyExit is set (the main phase; the packing
+// phase has none) it stops at the first incumbent that meets greedyDone,
+// skipping the remaining runs.
+func (pr *problem) bestVariant(variants []greedyVariant, best *greedyState, earlyExit bool, free []int, fixed map[int]arch.Placement, pump map[grid.Point]int) (*greedyState, error) {
 	var firstErr error
-	workers := par.Workers(pr.cfg.Workers)
-	if workers <= 1 {
-		// Legacy serial loop: the early exit also skips the runs themselves.
-		for _, gv := range variants {
-			st, err := pr.runVariant(gv, free, fixed, pump)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			if best == nil || st.better(best) {
-				best = st
-			}
-			if earlyExit && greedyDone(best) {
-				break
-			}
-		}
-		return best, firstErr
-	}
-	type runResult struct {
-		st  *greedyState
-		err error
-	}
-	ctx := pr.ctx
-	if po := sp.Trace().Pool(sp, "greedy.variant"); po != nil {
-		ctx = par.WithObserver(ctx, po)
-	}
-	// Per-variant errors travel inside runResult, so a non-nil pool error
-	// is a recovered worker panic (surfaced as *par.TaskPanic since the
-	// pool stopped re-raising) — abort rather than silently dropping the
-	// variant a serial run would have died on.
-	results, poolErr := par.MapCtx(ctx, workers, len(variants), func(slot, i int) (runResult, error) {
-		st, err := pr.runVariant(variants[i], free, fixed, pump)
-		return runResult{st: st, err: err}, nil
-	})
-	if poolErr != nil {
-		return nil, poolErr
-	}
-	for _, r := range results {
-		if r.err != nil {
+	for _, gv := range variants {
+		st, err := pr.runVariant(gv, free, fixed, pump)
+		if err != nil {
 			if firstErr == nil {
-				firstErr = r.err
+				firstErr = err
 			}
 			continue
 		}
-		if best == nil || r.st.better(best) {
-			best = r.st
+		if best == nil || st.better(best) {
+			best = st
 		}
 		if earlyExit && greedyDone(best) {
 			break

@@ -292,7 +292,7 @@ func (pr *problem) solveModel(free []int, fixed map[int]arch.Placement, pump map
 		Incumbent: incumbent,
 		AbsGap:    0.999, // w counts whole operations
 		Obs:       opts.obs,
-		ColdLP:    pr.cfg.ColdLP,
+		ColdLP:    pr.cfg.coldLP,
 		Arenas:    pr.arenas,
 	})
 	if err != nil {

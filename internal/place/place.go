@@ -94,14 +94,9 @@ type Config struct {
 	NoStorageOverlap bool
 	// NoRoutingConvenient drops constraints (13)-(16) (ablation).
 	NoRoutingConvenient bool
-	// Workers bounds the mapper-internal parallelism, the multi-start
-	// greedy fan-out (0 = runtime.GOMAXPROCS, 1 = serial). Results are
-	// bit-identical for every value; only wall-clock time changes.
-	Workers int
 	// Obs, when non-nil, is the parent span the mapper reports under:
-	// per-repair-iteration spans, per-batch ILP spans, greedy fan-out
-	// pools on per-worker tracks, and the place.* metrics. Observation
-	// never changes results.
+	// per-repair-iteration spans, per-batch ILP spans, multi-start greedy
+	// spans, and the place.* metrics. Observation never changes results.
 	Obs *obs.Span
 	// Faults excludes defective valves from the mapping: stuck-closed
 	// cells may not lie in any footprint (and hence no ring or storage),
@@ -116,12 +111,6 @@ type Config struct {
 	// core's last fallback tier. Only the greedy paths honour it; the ILP
 	// modes still require a complete assignment.
 	BestEffort bool
-	// ColdLP disables the branch-and-bound warm-start machinery
-	// (milp.Options.ColdLP): every node pays a from-scratch LP solve.
-	// Both modes are exact searches that agree on final incumbents and
-	// statuses (and hence on placements); the switch exists for
-	// benchmarking and differential tests.
-	ColdLP bool
 	// WearPrior, when non-nil, is a Grid×Grid row-major matrix (index
 	// y·Grid+x) of prior per-valve pump load in per-operation units — the
 	// chip's cumulative past actuations divided by the per-operation
@@ -131,6 +120,12 @@ type Config struct {
 	// valves. A nil or all-zero prior is bit-identical to a fresh chip,
 	// and Mapping.MaxPumpOps always reports this run's load only.
 	WearPrior []int
+
+	// coldLP disables the branch-and-bound warm-start machinery
+	// (milp.Options.ColdLP): every node pays a from-scratch LP solve. Both
+	// modes are exact searches that agree on final incumbents and statuses,
+	// hence on placements; only the warm-versus-cold test sets it.
+	coldLP bool
 }
 
 func (c Config) withDefaults() Config {

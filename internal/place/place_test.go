@@ -322,3 +322,51 @@ func TestGreedyPackingRescuesCrowdedAssay(t *testing.T) {
 	}
 	checkMapping(t, res, m, cfg.withDefaults())
 }
+
+// TestGreedyVariantsDeduplicated checks the explicit variant list: no
+// duplicate (rootOff, shapeRot, noPull, packLimit) tuples at any stride,
+// including stride 1 where the legacy run/2 derivation repeated offsets.
+func TestGreedyVariantsDeduplicated(t *testing.T) {
+	sched := policySchedule(t, "PCR", 1)
+	for _, stride := range []int{1, 2, 3, 4} {
+		pr, err := newProblem(sched, Config{Grid: assays.PCR().GridSize, RootStride: stride}.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, phase := range []struct {
+			runs     int
+			withPull bool
+			pack     int
+		}{{greedyRuns, true, 0}, {greedyRuns / 2, false, 3}} {
+			vs := pr.greedyVariants(phase.runs, phase.withPull, phase.pack)
+			if len(vs) == 0 {
+				t.Fatalf("stride %d: empty variant list", stride)
+			}
+			if len(vs) > phase.runs {
+				t.Fatalf("stride %d: %d variants exceed %d runs", stride, len(vs), phase.runs)
+			}
+			seen := map[greedyVariant]bool{}
+			for _, v := range vs {
+				if seen[v] {
+					t.Fatalf("stride %d: duplicate variant %+v", stride, v)
+				}
+				seen[v] = true
+				if v.packLimit != phase.pack {
+					t.Fatalf("stride %d: packLimit %d, want %d", stride, v.packLimit, phase.pack)
+				}
+			}
+		}
+		// Stride 1 main phase: offsets collapse to {0,0}, so the noPull
+		// pairs are the only axis besides shapeRot — every variant must
+		// still be unique and the list strictly shorter than the raw run
+		// count whenever collisions occur.
+		if stride == 1 {
+			vs := pr.greedyVariants(greedyRuns, true, 0)
+			for _, v := range vs {
+				if v.rootOff.X != 0 || v.rootOff.Y != 0 {
+					t.Fatalf("stride 1: non-zero offset %+v", v)
+				}
+			}
+		}
+	}
+}

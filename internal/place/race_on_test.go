@@ -1,6 +1,6 @@
 //go:build race
 
-package verify
+package place
 
 // raceEnabled reports whether this test binary was built with the race
 // detector; wall-clock-heavy single-configuration property tests skip

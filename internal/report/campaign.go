@@ -158,7 +158,7 @@ func RunCampaign(c assays.Case, policy int, opts CampaignOptions) (*Campaign, er
 	synth := func(fs *fault.Set) (*core.Result, error) {
 		return core.Synthesize(c.Assay, core.Options{
 			Policy: schedule.Resources{Mixers: des.Mixers, Detectors: c.Detectors},
-			Place:  place.Config{Grid: grid, Mode: opts.Mode, Workers: 1},
+			Place:  place.Config{Grid: grid, Mode: opts.Mode},
 			Faults: fs,
 		})
 	}
@@ -169,7 +169,7 @@ func RunCampaign(c assays.Case, policy int, opts CampaignOptions) (*Campaign, er
 	}
 	camp := &Campaign{Case: c.Assay.Name, Policy: policy, BaselineVsMax1: base.VsMax1}
 
-	runs, err := par.Map(par.Workers(opts.Workers), opts.Runs, func(_, i int) (CampaignRun, error) {
+	runs, err := par.Map(par.Workers(opts.Workers), opts.Runs, func(i int) (CampaignRun, error) {
 		seed := opts.Seed + int64(i)
 		fs := fault.Generate(seed, fault.GenOptions{
 			Grid:          grid,

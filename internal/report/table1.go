@@ -59,10 +59,10 @@ type RowOptions struct {
 	// Grid overrides the case's grid size when positive.
 	Grid int
 	// Workers bounds the parallelism (0 = runtime.GOMAXPROCS, 1 = legacy
-	// serial). For a single row it is the mapper-internal worker count;
-	// Table1 instead spends the budget across its twelve case × policy
-	// cells and runs each cell's mapper serially. Either way the reported
-	// metrics are bit-identical to a serial run.
+	// serial). For a single row it is the synthesis-internal worker count
+	// (core.Options.Workers); Table1 instead spends the budget across its
+	// twelve case × policy cells and runs each cell serially. Either way
+	// the reported metrics are bit-identical to a serial run.
 	Workers int
 	// Trace, when non-nil, records every synthesis run of the evaluation
 	// under one trace (one root span per cell). Concurrent Table1 cells land
@@ -198,11 +198,11 @@ func Table1Ctx(ctx context.Context, opts RowOptions) ([]*Row, error) {
 	workers := par.Workers(opts.Workers)
 	rowOpts := opts
 	if workers > 1 {
-		// The worker budget is spent across cells; each cell's mapper runs
+		// The worker budget is spent across cells; each cell synthesizes
 		// serially to avoid oversubscribing the machine.
 		rowOpts.Workers = 1
 	}
-	rows, err := par.MapCtx(ctx, workers, len(cells), func(_, i int) (*Row, error) {
+	rows, err := par.MapCtx(ctx, workers, len(cells), func(i int) (*Row, error) {
 		row, err := Table1RowCtx(ctx, cells[i].c, cells[i].policy, rowOpts)
 		if err != nil {
 			return nil, fmt.Errorf("%s p%d: %w", cells[i].c.Assay.Name, cells[i].policy, err)

@@ -35,8 +35,8 @@ func (s *Server) Handler() http.Handler {
 }
 
 // handleMetrics serves the server-level obs registry in Prometheus text
-// exposition format. Values are projected from the Stats atomics at
-// scrape time, so /metrics and /v1/stats always agree.
+// exposition format. Stats reads the same registry, so /metrics and
+// /v1/stats always agree.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.Metrics()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

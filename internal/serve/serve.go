@@ -28,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mfsynth/internal/core"
@@ -41,7 +40,7 @@ import (
 // Config parameterises a Server.
 type Config struct {
 	// Workers is the synthesis fleet size (0 = runtime.GOMAXPROCS). Each
-	// worker runs one job at a time with Workers=1 mapper-internal
+	// worker runs one job at a time with Workers=1 synthesis-internal
 	// parallelism, so the fleet size is the process's synthesis budget.
 	Workers int
 	// QueueDepth bounds the job queue (default 64). A full queue sheds
@@ -133,23 +132,24 @@ type Server struct {
 	nextID   int64
 	draining bool
 
-	running     atomic.Int64
-	peakRunning atomic.Int64
+	// metrics is the one store of the server's counters: Stats and
+	// GET /metrics both read it. running is the live serve_running gauge;
+	// its high-water mark is Stats.PeakRunning.
+	metrics *obs.Metrics
+	running *obs.Gauge
 
-	submitted, accepted, fresh           atomic.Int64
-	coalesced, cacheHits, cacheEvictions atomic.Int64
-	shedQueueFull, shedRateLimited       atomic.Int64
-	shedDraining, badRequests            atomic.Int64
-	completed, failed, cancelled         atomic.Int64
-
-	promMu  sync.Mutex   // serialises scrape-time projection into metrics
-	metrics *obs.Metrics // the GET /metrics registry
+	submitted, accepted, fresh           *obs.Counter
+	coalesced, cacheHits, cacheEvictions *obs.Counter
+	shedQueueFull, shedRateLimited       *obs.Counter
+	shedDraining, badRequests            *obs.Counter
+	completed, failed, cancelled         *obs.Counter
 }
 
 // New builds a Server and starts its worker fleet.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
+	m := obs.NewMetrics()
 	s := &Server{
 		cfg:        cfg,
 		queue:      newJobQueue(cfg.QueueDepth),
@@ -159,7 +159,22 @@ func New(cfg Config) *Server {
 		baseCancel: cancel,
 		jobs:       make(map[string]*Job),
 		inflight:   make(map[string]*Job),
-		metrics:    obs.NewMetrics(),
+
+		metrics:         m,
+		running:         m.Gauge("serve_running"),
+		submitted:       m.Counter("serve_submitted_total"),
+		accepted:        m.Counter("serve_accepted_total"),
+		fresh:           m.Counter("serve_fresh_total"),
+		coalesced:       m.Counter("serve_coalesced_total"),
+		cacheHits:       m.Counter("serve_cache_hits_total"),
+		cacheEvictions:  m.Counter("serve_cache_evictions_total"),
+		shedQueueFull:   m.Counter("serve_shed_queue_full_total"),
+		shedRateLimited: m.Counter("serve_shed_rate_limited_total"),
+		shedDraining:    m.Counter("serve_shed_draining_total"),
+		badRequests:     m.Counter("serve_bad_requests_total"),
+		completed:       m.Counter("serve_completed_total"),
+		failed:          m.Counter("serve_failed_total"),
+		cancelled:       m.Counter("serve_cancelled_total"),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -335,39 +350,35 @@ func (s *Server) worker() {
 func (s *Server) runJob(j *Job) {
 	if !j.start() {
 		// Cancelled while queued (or already terminal); account for it.
-		j.finish(StateCancelled, nil, context.Cause(j.ctx))
 		s.cancelled.Add(1)
+		j.finish(StateCancelled, nil, context.Cause(j.ctx))
 		s.dropInflight(j)
 		s.notifyDone(j)
 		return
 	}
-	n := s.running.Add(1)
-	for {
-		peak := s.peakRunning.Load()
-		if n <= peak || s.peakRunning.CompareAndSwap(peak, n) {
-			break
-		}
-	}
+	s.running.Add(1)
 	opts := j.opts
-	opts.Workers = 1 // the fleet, not the mapper, owns the parallelism budget
+	opts.Workers = 1 // the fleet, not one synthesis, owns the parallelism budget
 	res, err := core.SynthesizeCtx(j.ctx, j.assay, opts)
 	s.running.Add(-1)
 
+	// Each terminal state is counted before the job publishes it, so a
+	// client that sees the job finish also sees it in Stats.
 	switch {
 	case err == nil:
 		view := viewOf(res)
 		s.cacheEvictions.Add(int64(s.cache.Put(j.Fingerprint, view)))
 		s.dropInflight(j)
-		j.finish(StateDone, view, nil)
 		s.completed.Add(1)
+		j.finish(StateDone, view, nil)
 	case j.clientCancelled():
 		s.dropInflight(j)
-		j.finish(StateCancelled, nil, err)
 		s.cancelled.Add(1)
+		j.finish(StateCancelled, nil, err)
 	default:
 		s.dropInflight(j)
-		j.finish(StateFailed, nil, err)
 		s.failed.Add(1)
+		j.finish(StateFailed, nil, err)
 	}
 	s.notifyDone(j)
 }
@@ -420,49 +431,39 @@ func (s *Server) Stats() Stats {
 		Workers:         s.cfg.Workers,
 		QueueDepth:      s.queue.Len(),
 		QueueCap:        s.queue.Cap(),
-		Running:         int(s.running.Load()),
-		PeakRunning:     int(s.peakRunning.Load()),
+		Running:         int(s.running.Value()),
+		PeakRunning:     int(s.running.Max()),
 		Draining:        draining,
-		Submitted:       s.submitted.Load(),
-		Accepted:        s.accepted.Load(),
-		Fresh:           s.fresh.Load(),
-		Coalesced:       s.coalesced.Load(),
-		CacheHits:       s.cacheHits.Load(),
+		Submitted:       s.submitted.Value(),
+		Accepted:        s.accepted.Value(),
+		Fresh:           s.fresh.Value(),
+		Coalesced:       s.coalesced.Value(),
+		CacheHits:       s.cacheHits.Value(),
 		CacheEntries:    s.cache.Len(),
 		CacheCap:        s.cache.Cap(),
-		CacheEvictions:  s.cacheEvictions.Load(),
-		ShedQueueFull:   s.shedQueueFull.Load(),
-		ShedRateLimited: s.shedRateLimited.Load(),
-		ShedDraining:    s.shedDraining.Load(),
-		BadRequests:     s.badRequests.Load(),
-		Completed:       s.completed.Load(),
-		Failed:          s.failed.Load(),
-		Cancelled:       s.cancelled.Load(),
+		CacheEvictions:  s.cacheEvictions.Value(),
+		ShedQueueFull:   s.shedQueueFull.Value(),
+		ShedRateLimited: s.shedRateLimited.Value(),
+		ShedDraining:    s.shedDraining.Value(),
+		BadRequests:     s.badRequests.Value(),
+		Completed:       s.completed.Value(),
+		Failed:          s.failed.Value(),
+		Cancelled:       s.cancelled.Value(),
 	}
 }
 
-// Metrics returns the server-level obs registry backing GET /metrics.
-// Counters are projected into it at scrape time from the same atomics
-// Stats reads, so the two endpoints can never disagree; per-job traces
-// (which feed the /events SSE stream) are deliberately separate.
+// Metrics returns the server-level obs registry backing GET /metrics. The
+// counters and the running gauge live in it and are the same instruments
+// Stats reads, so the two endpoints can never disagree; the state gauges
+// (workers, queue, cache, draining, running peak) are refreshed on each
+// call. Per-job traces (which feed the /events SSE stream) are
+// deliberately separate.
 func (s *Server) Metrics() *obs.Metrics {
-	s.scrapeMetrics()
-	return s.metrics
-}
-
-// scrapeMetrics projects the Stats snapshot into the Prometheus
-// registry. Gauges are set absolutely; counters advance by the delta
-// since the last scrape so they stay monotonic even under concurrent
-// scrapes (the mutex serialises the read-modify-write).
-func (s *Server) scrapeMetrics() {
-	s.promMu.Lock()
-	defer s.promMu.Unlock()
 	st := s.Stats()
 	m := s.metrics
 	m.Gauge("serve_workers").Set(int64(st.Workers))
 	m.Gauge("serve_queue_depth").Set(int64(st.QueueDepth))
 	m.Gauge("serve_queue_cap").Set(int64(st.QueueCap))
-	m.Gauge("serve_running").Set(int64(st.Running))
 	m.Gauge("serve_running_peak").Set(int64(st.PeakRunning))
 	m.Gauge("serve_cache_entries").Set(int64(st.CacheEntries))
 	m.Gauge("serve_cache_cap").Set(int64(st.CacheCap))
@@ -471,25 +472,7 @@ func (s *Server) scrapeMetrics() {
 		draining = 1
 	}
 	m.Gauge("serve_draining").Set(draining)
-	bump := func(name string, v int64) {
-		c := m.Counter(name)
-		if d := v - c.Value(); d > 0 {
-			c.Add(d)
-		}
-	}
-	bump("serve_submitted_total", st.Submitted)
-	bump("serve_accepted_total", st.Accepted)
-	bump("serve_fresh_total", st.Fresh)
-	bump("serve_coalesced_total", st.Coalesced)
-	bump("serve_cache_hits_total", st.CacheHits)
-	bump("serve_cache_evictions_total", st.CacheEvictions)
-	bump("serve_shed_queue_full_total", st.ShedQueueFull)
-	bump("serve_shed_rate_limited_total", st.ShedRateLimited)
-	bump("serve_shed_draining_total", st.ShedDraining)
-	bump("serve_bad_requests_total", st.BadRequests)
-	bump("serve_completed_total", st.Completed)
-	bump("serve_failed_total", st.Failed)
-	bump("serve_cancelled_total", st.Cancelled)
+	return m
 }
 
 // CountBadRequest records a request rejected before Submit (parse errors

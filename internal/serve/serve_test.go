@@ -573,8 +573,8 @@ func TestResolveBackends(t *testing.T) {
 
 // TestMetricsEndpoint checks GET /metrics serves the admission/queue/
 // cache counters in Prometheus text exposition format, agrees with
-// /v1/stats, and stays monotonic across scrapes (the projection adds
-// deltas; a second scrape must not double counters).
+// /v1/stats, and is stable across scrapes (a second scrape with no new
+// work must not move a counter).
 func TestMetricsEndpoint(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 4, CacheEntries: 4})
 	defer s.Close()
@@ -617,14 +617,15 @@ func TestMetricsEndpoint(t *testing.T) {
 		"serve_completed_total 1",
 		"# TYPE serve_workers gauge",
 		"serve_workers 1",
+		"serve_running 0",
+		"serve_running_peak 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, body)
 		}
 	}
 
-	// A second scrape with no new work must report identical counters:
-	// the delta projection must not re-add already-counted totals.
+	// A second scrape with no new work must report identical counters.
 	if body2 := scrape(); !strings.Contains(body2, "serve_submitted_total 1") ||
 		!strings.Contains(body2, "serve_completed_total 1") {
 		t.Fatalf("second scrape drifted:\n%s", body2)
@@ -635,6 +636,107 @@ func TestMetricsEndpoint(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/stats", &st)
 	if st.Submitted != 1 || st.Completed != 1 {
 		t.Fatalf("stats disagree with metrics: %+v", st)
+	}
+}
+
+// promValue reads one sample of a Prometheus text body (-1 when absent).
+func promValue(body, name string) int64 {
+	for _, line := range strings.Split(body, "\n") {
+		var v int64
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			if _, err := fmt.Sscan(rest, &v); err == nil {
+				return v
+			}
+		}
+	}
+	return -1
+}
+
+// TestMetricsScrapeDuringJobs scrapes GET /metrics from several goroutines
+// while jobs run (tier 2 runs it under the race detector): counters never
+// go backwards between scrapes, and once the jobs are done the scraped
+// registry agrees with /v1/stats.
+func TestMetricsScrapeDuringJobs(t *testing.T) {
+	const jobs = 8
+	s := New(Config{Workers: 2, QueueDepth: jobs, CacheEntries: jobs})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	scrape := func() (string, error) {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			return "", err
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		_, err = buf.ReadFrom(resp.Body)
+		return buf.String(), err
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, 3)
+	for g := 0; g < 3; g++ {
+		go func() {
+			var last int64
+			for {
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				body, err := scrape()
+				if err != nil {
+					errs <- err
+					return
+				}
+				n := promValue(body, "serve_completed_total")
+				if n < last {
+					errs <- fmt.Errorf("serve_completed_total went from %d to %d", last, n)
+					return
+				}
+				last = n
+			}
+		}()
+	}
+	var submitted []*Job
+	for i := 0; i < jobs; i++ {
+		j, outcome, _, err := s.Submit("c", tinyAssay(fmt.Sprintf("scrape%d", i)), tinyOpts(0), 0)
+		if err != nil || outcome != SubmitQueued {
+			t.Fatalf("submit %d: %v %v", i, outcome, err)
+		}
+		submitted = append(submitted, j)
+	}
+	for _, j := range submitted {
+		waitDone(t, j)
+	}
+	close(stop)
+	for g := 0; g < 3; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	body, err := scrape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Stats
+	getJSON(t, ts.URL+"/v1/stats", &st)
+	for name, want := range map[string]int64{
+		"serve_submitted_total": st.Submitted,
+		"serve_accepted_total":  st.Accepted,
+		"serve_fresh_total":     st.Fresh,
+		"serve_completed_total": st.Completed,
+		"serve_running":         int64(st.Running),
+		"serve_running_peak":    int64(st.PeakRunning),
+	} {
+		if got := promValue(body, name); got != want {
+			t.Errorf("%s = %d in /metrics, %d in /v1/stats", name, got, want)
+		}
+	}
+	if st.Completed != jobs || st.PeakRunning < 1 || st.PeakRunning > 2 {
+		t.Errorf("stats %+v: want %d completed and peak running in [1, 2]", st, jobs)
 	}
 }
 

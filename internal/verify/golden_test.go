@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -32,8 +33,10 @@ var golden = map[string]goldenMetrics{
 
 // synthBenchmark runs one Table 1 cell under policy p1. The node cap
 // replaces the default wall-clock B&B deadline so results are deterministic
-// (a binding deadline is timing-dependent; a node cap is not).
-func synthBenchmark(t *testing.T, name string, mode place.Mode, workers int) *core.Result {
+// (a binding deadline is timing-dependent; a node cap is not). Listed
+// backends replace the mode's producers; the anneal budget is kept small
+// so -race runs stay short.
+func synthBenchmark(t *testing.T, name string, mode place.Mode, workers int, backends ...core.Backend) *core.Result {
 	t.Helper()
 	c, err := assays.ByName(name)
 	if err != nil {
@@ -47,7 +50,9 @@ func synthBenchmark(t *testing.T, name string, mode place.Mode, workers int) *co
 		Policy: schedule.Resources{Mixers: des.Mixers, Detectors: c.Detectors},
 		Place: place.Config{Grid: c.GridSize, Mode: mode,
 			MaxNodes: 64, SolveTimeout: time.Hour},
-		Workers: workers,
+		Workers:  workers,
+		Backends: backends,
+		Anneal:   core.AnnealOptions{Iters: 500},
 	})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -97,26 +102,23 @@ func TestGoldenRollingConforms(t *testing.T) {
 // TestSerialParallelBitIdentical is the differential oracle of the parallel
 // engine: a serial run and a Workers=8 run must produce bit-identical
 // results — same fingerprint over every scheduling, placement, routing and
-// actuation decision — and both must pass the conformance audit.
+// actuation decision — and both must pass the conformance audit. The
+// anneal replicates are the synthesis-internal fan-out, so both runs list
+// greedy and anneal as producers. Greedy may win the selection, so the
+// race lanes, which carry the annealer's own result quality, must match
+// too.
 func TestSerialParallelBitIdentical(t *testing.T) {
-	cases := []struct {
-		name string
-		mode place.Mode
-	}{
-		{"MixingTree", place.Greedy},
-		{"PCR", place.RollingHorizon},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			if tc.mode == place.RollingHorizon && testing.Short() {
-				t.Skip("branch-and-bound run skipped in -short mode")
-			}
-			serial := synthBenchmark(t, tc.name, tc.mode, 1)
-			parallel := synthBenchmark(t, tc.name, tc.mode, 8)
+	for _, name := range []string{"MixingTree", "PCR"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			serial := synthBenchmark(t, name, place.Greedy, 1, core.BackendGreedy, core.BackendAnneal)
+			parallel := synthBenchmark(t, name, place.Greedy, 8, core.BackendGreedy, core.BackendAnneal)
 			if Fingerprint(serial) != Fingerprint(parallel) {
 				t.Errorf("serial and workers=8 diverge:\n%s",
 					strings.Join(Diff("serial", serial, "workers=8", parallel), "\n"))
+			}
+			if s, p := laneQuality(serial), laneQuality(parallel); !reflect.DeepEqual(s, p) {
+				t.Errorf("race lanes diverge:\nserial    %+v\nworkers=8 %+v", s, p)
 			}
 			for label, res := range map[string]*core.Result{"serial": serial, "workers=8": parallel} {
 				if rep := Conformance(res); !rep.Clean() {
@@ -125,6 +127,19 @@ func TestSerialParallelBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// laneQuality returns a result's race lanes without their wall-clock
+// seconds.
+func laneQuality(res *core.Result) []core.RaceLane {
+	if res.Race == nil {
+		return nil
+	}
+	lanes := append([]core.RaceLane(nil), res.Race.Lanes...)
+	for i := range lanes {
+		lanes[i].Seconds = 0
+	}
+	return lanes
 }
 
 // TestDynamicDominatesTraditional checks the paper's headline claim as an

@@ -26,9 +26,9 @@ import (
 //   - Every defaultable option is emitted with its default applied, exactly
 //     as core.SynthesizeCtx and place.Config.withDefaults would resolve it,
 //     so a zero value and an explicitly-spelled default hash identically.
-//   - Fields that provably never change results are excluded: Workers /
-//     Place.Workers (the parallel engine's bit-identity contract), Trace
-//     and Place.Obs (observation never changes results).
+//   - Fields that provably never change results are excluded: Workers
+//     (the parallel engine's bit-identity contract), Trace and Place.Obs
+//     (observation never changes results).
 //   - The fault set is the effective one the pipeline would use:
 //     Options.Faults, falling back to Place.Faults, serialised in the
 //     fault-spec text format (sorted by cell).
@@ -40,7 +40,7 @@ import (
 // a request cannot be synthesised either, so it is never cacheable.
 func CanonicalRequest(a *graph.Assay, opts core.Options) (string, error) {
 	var sb strings.Builder
-	sb.WriteString("request v1\n")
+	sb.WriteString("request v2\n")
 
 	sb.WriteString("assay:\n")
 	if err := assays.Write(&sb, a); err != nil {
@@ -136,8 +136,8 @@ func writeCanonicalOptions(sb *strings.Builder, opts core.Options) {
 	}
 	fmt.Fprintf(sb, "place grid=%d mode=%s batch=%d max_nodes=%d solve_timeout_ns=%d root_stride=%d\n",
 		grid, p.Mode, batch, maxNodes, int64(timeout), stride)
-	fmt.Fprintf(sb, "place no_storage_overlap=%v no_routing_convenient=%v best_effort=%v cold_lp=%v\n",
-		p.NoStorageOverlap, p.NoRoutingConvenient, p.BestEffort, p.ColdLP)
+	fmt.Fprintf(sb, "place no_storage_overlap=%v no_routing_convenient=%v best_effort=%v\n",
+		p.NoStorageOverlap, p.NoRoutingConvenient, p.BestEffort)
 
 	// Wear prior: past-load placement bias changes placements, so it
 	// hashes — resolved to the per-operation units the engine seeds the

@@ -65,7 +65,6 @@ func TestRequestFingerprintDefaultInvariance(t *testing.T) {
 		{"explicit solve timeout default", func(o *core.Options) { o.Place.SolveTimeout = 120 * time.Second }},
 		{"explicit root stride default", func(o *core.Options) { o.Place.RootStride = 2 }},
 		{"workers is result-neutral", func(o *core.Options) { o.Workers = 7 }},
-		{"place workers is result-neutral", func(o *core.Options) { o.Place.Workers = 3 }},
 		{"trace is result-neutral", func(o *core.Options) { o.Trace = obs.New() }},
 		{"zero-count mixer entry is absent", func(o *core.Options) {
 			o.Policy.Mixers = map[int]int{8: 1, 6: 0}
@@ -154,7 +153,6 @@ func TestRequestFingerprintSensitivity(t *testing.T) {
 		{"no storage overlap", func(o *core.Options) { o.Place.NoStorageOverlap = true }},
 		{"no routing convenient", func(o *core.Options) { o.Place.NoRoutingConvenient = true }},
 		{"best effort", func(o *core.Options) { o.Place.BestEffort = true }},
-		{"cold lp", func(o *core.Options) { o.Place.ColdLP = true }},
 		{"one stuck-closed fault", func(o *core.Options) {
 			o.Faults = fault.NewSet(12, fault.Fault{At: grid.Point{X: 3, Y: 4}, Kind: fault.StuckClosed})
 		}},
@@ -248,7 +246,7 @@ func TestCanonicalRequestShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"request v1\n", "assay:\n", "options:\n", "faults:\nnone\n",
+		"request v2\n", "assay:\n", "options:\n", "faults:\nnone\n",
 		"transport_delay 3\n", "pump_actuations 40\n", "max_ripups 8\n",
 		"place grid=12 mode=rolling-horizon batch=6 max_nodes=1024",
 		"backends none\n",

@@ -3,23 +3,17 @@ package mfsynth
 import (
 	"reflect"
 	"testing"
-	"time"
 )
 
 // TestParallelSynthesisMatchesSerial runs the full synthesis of every
 // Table 1 case under p1 with Workers 1 and Workers 4 and asserts the two
 // results are identical in every reported metric and placement — the
-// deterministic-merge contract of the parallel engine, end to end. PCR uses
-// the rolling-horizon mapper (greedy fan-out inside every ILP batch);
-// the larger cases use the greedy mapper to keep -race runs short, matching
-// the bench harness's mode choices.
+// deterministic-merge contract of the parallel engine, end to end. The
+// anneal replicates are the synthesis-internal fan-out, so every run lists
+// greedy and anneal as producers, with a small anneal budget to keep -race
+// runs short. Greedy may win the selection, so the race lanes, which carry
+// the annealer's own result quality, must match too.
 func TestParallelSynthesisMatchesSerial(t *testing.T) {
-	modes := map[string]PlaceMode{
-		"PCR":                   RollingHorizon,
-		"MixingTree":            GreedyPlace,
-		"InterpolatingDilution": GreedyPlace,
-		"ExponentialDilution":   GreedyPlace,
-	}
 	for _, name := range CaseNames() {
 		c, err := CaseByName(name)
 		if err != nil {
@@ -30,14 +24,12 @@ func TestParallelSynthesisMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := func(workers int) *Result {
-			// A node cap replaces the default 20 s wall-clock deadline: a
-			// binding deadline is timing-dependent (it fires under -race,
-			// where everything is slower), a node cap is deterministic.
 			res, err := Synthesize(c.Assay, Options{
-				Policy: Resources{Mixers: des.Mixers, Detectors: c.Detectors},
-				Place: PlaceConfig{Grid: c.GridSize, Mode: modes[name],
-					MaxNodes: 64, SolveTimeout: time.Hour},
-				Workers: workers,
+				Policy:   Resources{Mixers: des.Mixers, Detectors: c.Detectors},
+				Place:    PlaceConfig{Grid: c.GridSize},
+				Workers:  workers,
+				Backends: []Backend{BackendGreedy, BackendAnneal},
+				Anneal:   AnnealOptions{Iters: 500},
 			})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
@@ -58,6 +50,9 @@ func TestParallelSynthesisMatchesSerial(t *testing.T) {
 		if ms != mp {
 			t.Errorf("%s: metrics %+v (serial) vs %+v (parallel)", name, ms, mp)
 		}
+		if s, p := raceQuality(serial), raceQuality(parallel); !reflect.DeepEqual(s, p) {
+			t.Errorf("%s: race lanes %+v (serial) vs %+v (parallel)", name, s, p)
+		}
 		if serial.Mapping.Stats != parallel.Mapping.Stats {
 			t.Errorf("%s: stats %+v (serial) vs %+v (parallel)",
 				name, serial.Mapping.Stats, parallel.Mapping.Stats)
@@ -73,6 +68,19 @@ func TestParallelSynthesisMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// raceQuality returns a result's race lanes without their wall-clock
+// seconds.
+func raceQuality(res *Result) []RaceLane {
+	if res.Race == nil {
+		return nil
+	}
+	lanes := append([]RaceLane(nil), res.Race.Lanes...)
+	for i := range lanes {
+		lanes[i].Seconds = 0
+	}
+	return lanes
 }
 
 // TestTable1WorkersMatchesSerial evaluates Table 1 (greedy mapper, p1..p3)
