@@ -294,7 +294,7 @@ type replicate struct {
 type state struct {
 	inst  *place.Instance
 	fixed map[int]arch.Placement
-	pump  map[grid.Point]int
+	pump  []int // per-valve load, flat y·Grid+x
 	hist  []int // hist[n] = number of cells at load n (n ≥ 1)
 
 	maxPump   int
@@ -320,13 +320,14 @@ func (st *state) cost() Cost {
 	}
 }
 
-// addLoads accounts op's ring onto the pump map (mix ops only).
+// addLoads accounts op's ring onto the pump loads (mix ops only).
 func (st *state) addLoads(op int, pl arch.Placement) {
 	if !st.inst.IsPump(op) {
 		return
 	}
-	for _, pt := range pl.Ring() {
-		old := st.pump[pt]
+	at, offs := st.inst.Ring(pl)
+	for _, off := range offs {
+		old := st.pump[at+off]
 		st.sumSq += 2*old + 1
 		if old == 0 {
 			st.usedCells++
@@ -334,7 +335,7 @@ func (st *state) addLoads(op int, pl arch.Placement) {
 			st.hist[old]--
 		}
 		n := old + 1
-		st.pump[pt] = n
+		st.pump[at+off] = n
 		for n >= len(st.hist) {
 			st.hist = append(st.hist, 0)
 		}
@@ -350,16 +351,16 @@ func (st *state) removeLoads(op int, pl arch.Placement) {
 	if !st.inst.IsPump(op) {
 		return
 	}
-	for _, pt := range pl.Ring() {
-		old := st.pump[pt]
+	at, offs := st.inst.Ring(pl)
+	for _, off := range offs {
+		old := st.pump[at+off]
 		st.sumSq -= 2*old - 1
 		st.hist[old]--
 		n := old - 1
+		st.pump[at+off] = n
 		if n == 0 {
 			st.usedCells--
-			delete(st.pump, pt)
 		} else {
-			st.pump[pt] = n
 			st.hist[n]++
 		}
 	}
@@ -380,7 +381,7 @@ func runReplicate(ctx context.Context, inst *place.Instance, cfg Config, rep int
 	st := &state{
 		inst:     inst,
 		fixed:    map[int]arch.Placement{},
-		pump:     map[grid.Point]int{},
+		pump:     make([]int, inst.Grid()*inst.Grid()),
 		hist:     make([]int, 4),
 		dropped:  map[int]bool{},
 		rcExempt: map[int]bool{},
@@ -404,7 +405,7 @@ func runReplicate(ctx context.Context, inst *place.Instance, cfg Config, rep int
 			}
 			r.err = synerr.Infeasible("anneal",
 				"no feasible placement for %s on a %dx%d chip",
-				inst.OpName(op), cfg.Place.Grid, cfg.Place.Grid)
+				inst.OpName(op), inst.Grid(), inst.Grid())
 			return r
 		}
 		// Greedy primary keys (resulting max load, added load), random
@@ -414,12 +415,13 @@ func runReplicate(ctx context.Context, inst *place.Instance, cfg Config, rep int
 		for _, c := range cands {
 			key := [2]int{0, 0}
 			if inst.IsPump(op) {
-				for _, pt := range c.Ring() {
-					n := st.pump[pt] + 1
-					if n > key[0] {
-						key[0] = n
+				at, offs := inst.Ring(c)
+				for _, off := range offs {
+					n := st.pump[at+off]
+					if n+1 > key[0] {
+						key[0] = n + 1
 					}
-					key[1] += st.pump[pt]
+					key[1] += n
 				}
 			}
 			switch {

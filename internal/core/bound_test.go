@@ -88,7 +88,7 @@ func TestPumpBoundBelowEveryProducer(t *testing.T) {
 						maxLife = n
 					}
 				}
-				if lb := place.PumpBound(g, rings, prior); lb > maxLife {
+				if lb := place.PumpBound(g, rings, base.Place.WearPrior); lb > maxLife {
 					t.Fatalf("seed %d %s: wear-aware bound %d above lifetime load %d", seed, label, lb, maxLife)
 				}
 				checked[label]++

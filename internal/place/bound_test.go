@@ -31,7 +31,14 @@ func TestPumpBound(t *testing.T) {
 		{"largest past load dominates", 10, 4, map[grid.Point]int{pt(0, 3): 7, pt(2, 2): 1}, 7},
 		{"no inner cells", 2, 4, map[grid.Point]int{pt(0, 0): 3}, 3},
 	} {
-		if got := PumpBound(tc.g, tc.rings, tc.past); got != tc.want {
+		var past []int
+		if tc.past != nil {
+			past = make([]int, tc.g*tc.g)
+			for pt, n := range tc.past {
+				past[pt.Y*tc.g+pt.X] = n
+			}
+		}
+		if got := PumpBound(tc.g, tc.rings, past); got != tc.want {
 			t.Errorf("%s: PumpBound(%d, %d, %v) = %d, want %d", tc.name, tc.g, tc.rings, tc.past, got, tc.want)
 		}
 	}
@@ -105,13 +112,13 @@ func bruteMinLoad(pr *problem) (best int, ok bool) {
 			chosen[i] = pl
 			if pr.pump[op] {
 				for _, pt := range pl.Ring() {
-					load[pt]++
+					load[pt.Y*pr.cfg.Grid+pt.X]++
 				}
 			}
 			walk(i + 1)
 			if pr.pump[op] {
 				for _, pt := range pl.Ring() {
-					load[pt]--
+					load[pt.Y*pr.cfg.Grid+pt.X]--
 				}
 			}
 		}
@@ -135,8 +142,9 @@ func lifetimeLoad(pr *problem, m *Mapping) int {
 			continue
 		}
 		for _, pt := range pl.Ring() {
-			if load[pt]++; load[pt] > max {
-				max = load[pt]
+			i := pt.Y*pr.cfg.Grid + pt.X
+			if load[i]++; load[i] > max {
+				max = load[i]
 			}
 		}
 	}

@@ -1,8 +1,6 @@
 package place
 
 import (
-	"sort"
-
 	"mfsynth/internal/arch"
 	"mfsynth/internal/fault"
 	"mfsynth/internal/grid"
@@ -21,16 +19,15 @@ type candOpts struct {
 	fullRoots bool
 }
 
-// obstacle is a fixed placement alive during the candidate op's window.
+// obstacle is a fixed device alive during the candidate op's window.
 type obstacle struct {
-	pl        arch.Placement
-	overlapOK bool   // storage-parent relaxation applies
-	window    [2]int // the obstacle's device window
+	op int
+	fp grid.Rect
 }
 
 // candidates enumerates the admissible placements of op given the already
-// fixed placements. The rules, mirroring the ILP constraints against fixed
-// context:
+// fixed placements, in (shape preference, y, x) order. The rules, mirroring
+// the ILP constraints against fixed context:
 //
 //   - the footprint and wall band fit on the chip;
 //   - parentless operations use a thinned position lattice (RootStride);
@@ -41,45 +38,20 @@ type obstacle struct {
 //   - fixed device parents keep op within the routing-convenient distance d
 //     (constraints (13)-(16)) unless relaxRC is set.
 func (pr *problem) candidates(op int, fixed map[int]arch.Placement, o candOpts) []arch.Placement {
-	a := pr.res.Assay
-	var fixedParents []arch.Placement
-	for _, p := range a.DeviceParents(op) {
-		if pl, ok := fixed[p]; ok {
-			fixedParents = append(fixedParents, pl)
-		}
-	}
-	hasAnyParent := len(a.DeviceParents(op)) > 0
-
 	var obstacles []obstacle
 	for j, pl := range fixed {
-		if j == op || !pr.overlapsInTime(op, j) {
-			continue
+		if j != op && pr.overlapsInTime(op, j) {
+			obstacles = append(obstacles, obstacle{op: j, fp: pl.Footprint()})
 		}
-		obstacles = append(obstacles, obstacle{
-			pl:        pl,
-			overlapOK: pr.storagePair(op, j),
-			window:    pr.win[j],
-		})
 	}
-
 	shapes := pr.shp[op]
-	if r := o.shapeRot % len(shapes); r > 0 {
-		rotated := make([]arch.Shape, 0, len(shapes))
-		rotated = append(rotated, shapes[r:]...)
-		rotated = append(rotated, shapes[:r]...)
-		shapes = rotated
-	}
-	shapeRank := map[arch.Shape]int{}
-	for i, s := range shapes {
-		shapeRank[s] = i
-	}
-
 	var out []arch.Placement
-	for _, s := range shapes {
+	for k := range shapes {
+		s := shapes[(k+o.shapeRot)%len(shapes)]
 		area := pr.chip.PlacementArea(s)
 		stride := 1
 		x0, y0 := area.X0, area.Y0
-		if !hasAnyParent && !o.fullRoots && pr.cfg.RootStride > 1 {
+		if len(pr.parents[op]) == 0 && !o.fullRoots && pr.cfg.RootStride > 1 {
 			stride = pr.cfg.RootStride
 			x0 += o.rootOff.X % stride
 			y0 += o.rootOff.Y % stride
@@ -87,53 +59,61 @@ func (pr *problem) candidates(op int, fixed map[int]arch.Placement, o candOpts) 
 		for y := y0; y < area.Y1; y += stride {
 			for x := x0; x < area.X1; x += stride {
 				pl := arch.Placement{At: grid.Point{X: x, Y: y}, Shape: s}
-				if pr.admissible(op, pl, fixedParents, obstacles, o) {
+				if pr.admissible(op, pl, fixed, obstacles, o.relaxRC) {
 					out = append(out, pl)
 				}
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Shape != b.Shape {
-			return shapeRank[a.Shape] < shapeRank[b.Shape]
-		}
-		if a.At.Y != b.At.Y {
-			return a.At.Y < b.At.Y
-		}
-		return a.At.X < b.At.X
-	})
 	return out
 }
 
-// admissible checks one placement against fixed context.
-func (pr *problem) admissible(op int, pl arch.Placement, fixedParents []arch.Placement, obstacles []obstacle, o candOpts) bool {
+// admissible checks one placement of op against fixed context: the
+// routing-convenient distance to op's fixed device parents (unless
+// relaxRC), the fault rules, and clearance from every obstacle.
+// Candidate enumeration lists the obstacles once for all positions.
+func (pr *problem) admissible(op int, pl arch.Placement, fixed map[int]arch.Placement, obstacles []obstacle, relaxRC bool) bool {
+	fp := pl.Footprint()
+	if !relaxRC && !pr.nearParents(op, fp, fixed) {
+		return false
+	}
 	if !pr.faultAdmissible(pl) {
 		return false
 	}
-	fp := pl.Footprint()
 	for _, ob := range obstacles {
-		if fp.Distance(ob.pl.Footprint()) >= 1 {
-			continue
-		}
-		if !ob.overlapOK {
+		if !pr.clear(op, fp, ob.op, ob.fp) {
 			return false
-		}
-		// Overlap with a parent device: pre-filter with the storage
-		// free-space test so most repair iterations are avoided.
-		area := fp.OverlapArea(ob.pl.Footprint())
-		if tl := pr.stor[op]; tl != nil && !tl.CanOverlap(area, ob.window[0], ob.window[1]) {
-			return false
-		}
-	}
-	if !o.relaxRC {
-		for _, parent := range fixedParents {
-			if fp.Distance(parent.Footprint()) > pr.d {
-				return false
-			}
 		}
 	}
 	return true
+}
+
+// nearParents reports whether a device of op at footprint fp lies within
+// the routing-convenient distance d of each of op's fixed device parents.
+func (pr *problem) nearParents(op int, fp grid.Rect, fixed map[int]arch.Placement) bool {
+	for _, p := range pr.parents[op] {
+		if ppl, ok := fixed[p]; ok && fp.Distance(ppl.Footprint()) > pr.d {
+			return false
+		}
+	}
+	return true
+}
+
+// clear reports whether a device of op at footprint fp may coexist with the
+// time-overlapping fixed device j at jfp: at footprint distance ≥ 1 (shared
+// wall allowed), or overlapping a parent device that op's storage may
+// overlap under the c5 relaxation, within the storage's free space. The
+// free-space test pre-filters what the repair loop would reject, so most
+// repair iterations are avoided.
+func (pr *problem) clear(op int, fp grid.Rect, j int, jfp grid.Rect) bool {
+	if fp.Distance(jfp) >= 1 {
+		return true
+	}
+	if !pr.storagePair(op, j) {
+		return false
+	}
+	w := pr.win[j]
+	return pr.stor[op].CanOverlap(fp.OverlapArea(jfp), w[0], w[1])
 }
 
 // faultAdmissible checks a placement against the configured fault set by
@@ -146,13 +126,12 @@ func (pr *problem) admissible(op int, pl arch.Placement, fixedParents []arch.Pla
 // variable generation, rejecting a placement here is equivalent to a
 // forbidding constraint in the model.
 func (pr *problem) faultAdmissible(pl arch.Placement) bool {
-	fs := pr.cfg.Faults
-	if fs.Empty() {
+	if len(pr.faults) == 0 {
 		return true
 	}
 	fp := pl.Footprint()
 	wall := pl.WallBox()
-	for _, f := range fs.Faults() {
+	for _, f := range pr.faults {
 		if !wall.Contains(f.At) {
 			continue
 		}

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"mfsynth/internal/arch"
-	"mfsynth/internal/graph"
 	"mfsynth/internal/grid"
 	"mfsynth/internal/obs"
 	"mfsynth/internal/storage"
@@ -21,7 +20,7 @@ const greedyRuns = 32
 // greedyState carries one constructive run.
 type greedyState struct {
 	fixed map[int]arch.Placement
-	pump  map[grid.Point]int
+	pump  []int // per-valve load, flat y·Grid+x
 	// variant knobs
 	rootOff  grid.Point
 	shapeRot int
@@ -117,10 +116,10 @@ func (pr *problem) greedyVariants(runs int, withPull bool, packLimit int) []gree
 }
 
 // runVariant executes one constructive run; nil state means infeasible.
-func (pr *problem) runVariant(gv greedyVariant, free []int, fixed map[int]arch.Placement, pump map[grid.Point]int) (*greedyState, error) {
+func (pr *problem) runVariant(gv greedyVariant, free []int, fixed map[int]arch.Placement, pump []int) (*greedyState, error) {
 	st := &greedyState{
 		fixed:     clonePlacements(fixed),
-		pump:      clonePump(pump),
+		pump:      append([]int(nil), pump...),
 		rootOff:   gv.rootOff,
 		shapeRot:  gv.shapeRot,
 		noPull:    gv.noPull,
@@ -145,7 +144,7 @@ func greedyDone(st *greedyState) bool {
 // trying several deterministic variants (root-lattice offsets × shape-order
 // rotations) and keeping the best by (max pump load, load spread, RC
 // relaxations).
-func (pr *problem) multiStartGreedy(sp *obs.Span, free []int, fixed map[int]arch.Placement, pump map[grid.Point]int) (map[int]arch.Placement, greedyInfo, error) {
+func (pr *problem) multiStartGreedy(sp *obs.Span, free []int, fixed map[int]arch.Placement, pump []int) (map[int]arch.Placement, greedyInfo, error) {
 	variants := pr.greedyVariants(greedyRuns, true, 0)
 	gsp := sp.Start("place.greedy",
 		obs.KV("ops", len(free)), obs.KV("variants", len(variants)))
@@ -175,7 +174,7 @@ func (pr *problem) multiStartGreedy(sp *obs.Span, free []int, fixed map[int]arch
 // beats the incumbent. When earlyExit is set (the main phase; the packing
 // phase has none) it stops at the first incumbent that meets greedyDone,
 // skipping the remaining runs.
-func (pr *problem) bestVariant(variants []greedyVariant, best *greedyState, earlyExit bool, free []int, fixed map[int]arch.Placement, pump map[grid.Point]int) (*greedyState, error) {
+func (pr *problem) bestVariant(variants []greedyVariant, best *greedyState, earlyExit bool, free []int, fixed map[int]arch.Placement, pump []int) (*greedyState, error) {
 	var firstErr error
 	for _, gv := range variants {
 		st, err := pr.runVariant(gv, free, fixed, pump)
@@ -245,14 +244,16 @@ func (pr *problem) greedyPlace(st *greedyState, op int) error {
 	}
 	st.fixed[op] = pl
 	if pr.pump[op] {
-		for _, pt := range pl.Ring() {
-			st.sumSq += 2*st.pump[pt] + 1 // (n+1)² - n²
-			if st.pump[pt] == 0 {
+		at, offs := pr.ring(pl)
+		for _, off := range offs {
+			i := at + off
+			st.sumSq += 2*st.pump[i] + 1 // (n+1)² - n²
+			if st.pump[i] == 0 {
 				st.usedCells++
 			}
-			st.pump[pt]++
-			if st.pump[pt] > st.maxPump {
-				st.maxPump = st.pump[pt]
+			st.pump[i]++
+			if st.pump[i] > st.maxPump {
+				st.maxPump = st.pump[i]
 			}
 		}
 	}
@@ -292,40 +293,41 @@ func (pr *problem) greedyPick(op int, st *greedyState) (arch.Placement, bool, er
 func (pr *problem) greedyScore(op int, pl arch.Placement, st *greedyState) [3]int {
 	maxLoad, added := 0, 0
 	if pr.pump[op] {
+		at, offs := pr.ring(pl)
 		if st.packLimit > 0 {
 			// Packing mode: any load within the limit is free; prefer rings
 			// that open the fewest fresh valves.
 			over, fresh := 0, 0
-			for _, pt := range pl.Ring() {
-				if st.pump[pt]+1 > st.packLimit {
-					over += st.pump[pt] + 1 - st.packLimit
+			for _, off := range offs {
+				n := st.pump[at+off]
+				if n+1 > st.packLimit {
+					over += n + 1 - st.packLimit
 				}
-				if st.pump[pt] == 0 {
+				if n == 0 {
 					fresh++
 				}
 			}
 			maxLoad, added = over, fresh
 		} else {
-			for _, pt := range pl.Ring() {
-				n := st.pump[pt] + 1
-				if n > maxLoad {
-					maxLoad = n
+			for _, off := range offs {
+				n := st.pump[at+off]
+				if n+1 > maxLoad {
+					maxLoad = n + 1
 				}
-				added += st.pump[pt]
+				added += n
 			}
 		}
 	}
 	fp := pl.Footprint()
 	dist := 0
-	a := pr.res.Assay
-	for _, p := range a.DeviceParents(op) {
+	for _, p := range pr.parents[op] {
 		if ppl, ok := st.fixed[p]; ok {
 			dist += 4 * fp.Distance(ppl.Footprint())
 		}
 	}
 	// Sibling attraction: the future child must reach both parents, so
 	// penalise spread beyond what a child of minimum dimension can span.
-	for _, sib := range pr.siblings(op) {
+	for _, sib := range pr.siblings[op] {
 		if spl, ok := st.fixed[sib]; ok {
 			if over := fp.Distance(spl.Footprint()) - (2*pr.d + 2); over > 0 {
 				dist += 16 * over
@@ -343,15 +345,8 @@ func (pr *problem) greedyScore(op int, pl arch.Placement, st *greedyState) [3]in
 
 // portPull returns the port-proximity penalty of placing op at fp.
 func (pr *problem) portPull(op int, fp grid.Rect) int {
-	a := pr.res.Assay
 	pull := 0
-	loads := 0
-	for _, e := range a.In(op) {
-		if a.Op(e.From).Kind == graph.Input {
-			loads++
-		}
-	}
-	if loads > 0 {
+	if loads := pr.inLoads[op]; loads > 0 {
 		best := -1
 		for _, port := range pr.chip.Ports {
 			if port.Kind != arch.InPort {
@@ -366,7 +361,7 @@ func (pr *problem) portPull(op int, fp grid.Rect) int {
 			pull += loads * best
 		}
 	}
-	if len(a.Children(op)) == 0 {
+	if pr.leaf[op] {
 		for _, port := range pr.chip.Ports {
 			if port.Kind == arch.OutPort {
 				pull += fp.Distance(grid.RectWH(port.At.X, port.At.Y, 1, 1))
@@ -374,24 +369,6 @@ func (pr *problem) portPull(op int, fp grid.Rect) int {
 		}
 	}
 	return pull
-}
-
-// siblings lists the other device parents of op's children.
-func (pr *problem) siblings(op int) []int {
-	var out []int
-	seen := map[int]bool{op: true}
-	for _, child := range pr.res.Assay.Children(op) {
-		if _, onChip := pr.win[child]; !onChip {
-			continue
-		}
-		for _, p := range pr.res.Assay.DeviceParents(child) {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
-		}
-	}
-	return out
 }
 
 func keyLess(a, b [3]int) bool {
@@ -411,14 +388,6 @@ func clonePlacements(m map[int]arch.Placement) map[int]arch.Placement {
 	return out
 }
 
-func clonePump(m map[grid.Point]int) map[grid.Point]int {
-	out := make(map[grid.Point]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 // finishMapping assembles the Mapping from chosen placements. Operations
 // absent from fixed (skipped under BestEffort) get no window or storage and
 // are listed in Mapping.Dropped.
@@ -429,7 +398,7 @@ func (pr *problem) finishMapping(fixed map[int]arch.Placement, stats Stats) *Map
 		Storages:   map[int]*storage.Timeline{},
 		Stats:      stats,
 	}
-	pump := map[grid.Point]int{}
+	pump := make([]int, pr.cfg.Grid*pr.cfg.Grid)
 	for _, op := range pr.ops {
 		pl, placed := fixed[op]
 		if !placed {
@@ -439,10 +408,10 @@ func (pr *problem) finishMapping(fixed map[int]arch.Placement, stats Stats) *Map
 		m.Windows[op] = pr.win[op]
 		m.Storages[op] = pr.stor[op]
 		if pr.pump[op] {
-			for _, pt := range pl.Ring() {
-				pump[pt]++
-				if pump[pt] > m.MaxPumpOps {
-					m.MaxPumpOps = pump[pt]
+			at, offs := pr.ring(pl)
+			for _, off := range offs {
+				if pump[at+off]++; pump[at+off] > m.MaxPumpOps {
+					m.MaxPumpOps = pump[at+off]
 				}
 			}
 		}

@@ -43,6 +43,15 @@ func (in *Instance) IsPump(op int) bool { return in.pr.pump[op] }
 // OpName returns the assay name of op, for error messages.
 func (in *Instance) OpName(op int) string { return in.pr.res.Assay.Op(op).Name }
 
+// Grid is the resolved valve matrix side length: per-valve loads are flat
+// Grid×Grid slices indexed y·Grid+x.
+func (in *Instance) Grid() int { return in.pr.cfg.Grid }
+
+// Ring returns pl's pump-ring cells as load indices without allocating:
+// cell k is at+offs[k] (y·Grid+x), in the order of arch.Placement.Ring. pl
+// must use one of the op's Shapes; offs is shared and must not be modified.
+func (in *Instance) Ring(pl arch.Placement) (at int, offs []int) { return in.pr.ring(pl) }
+
 // RCDist is the routing-convenient distance d of constraints (13)-(16).
 func (in *Instance) RCDist() int { return in.pr.d }
 
@@ -57,40 +66,27 @@ func (in *Instance) PlacementArea(s arch.Shape) grid.Rect {
 
 // DeviceParents lists op's on-chip device parents — the operations whose
 // products op consumes and that are subject to the routing-convenient
-// coupling (empty when the config drops constraints (13)-(16)).
+// coupling (empty when the config drops constraints (13)-(16)). The slice
+// is shared by every caller and must not be modified.
 func (in *Instance) DeviceParents(op int) []int {
 	if in.pr.cfg.NoRoutingConvenient {
 		return nil
 	}
-	var out []int
-	for _, p := range in.pr.res.Assay.DeviceParents(op) {
-		if _, onChip := in.pr.win[p]; onChip {
-			out = append(out, p)
-		}
-	}
-	return out
+	return in.pr.parents[op]
 }
 
 // DeviceChildren lists the on-chip operations that have op as a device
-// parent. Moving op must keep these within the routing-convenient
-// distance; the constructive mappers never needed the check (parents are
-// always placed before children), so candidate enumeration only prunes
-// against parents and a search that relocates an already-placed parent
-// has to enforce the child side itself.
+// parent, in creation order. Moving op must keep these within the
+// routing-convenient distance; the constructive mappers never needed the
+// check (parents are always placed before children), so candidate
+// enumeration only prunes against parents and a search that relocates an
+// already-placed parent has to enforce the child side itself. The slice is
+// shared by every caller and must not be modified.
 func (in *Instance) DeviceChildren(op int) []int {
 	if in.pr.cfg.NoRoutingConvenient {
 		return nil
 	}
-	var out []int
-	for _, c := range in.pr.ops {
-		for _, p := range in.pr.res.Assay.DeviceParents(c) {
-			if p == op {
-				out = append(out, c)
-				break
-			}
-		}
-	}
-	return out
+	return in.pr.children[op]
 }
 
 // Candidates enumerates every admissible placement of op against the fixed
@@ -110,29 +106,17 @@ func (in *Instance) Candidates(op int, fixed map[int]arch.Placement, relaxRC boo
 // Candidates apply. The child-side coupling is NOT checked here; callers
 // that move parents combine this with RCWithChildren.
 func (in *Instance) Admissible(op int, pl arch.Placement, fixed map[int]arch.Placement, relaxRC bool) bool {
-	area := in.pr.chip.PlacementArea(pl.Shape)
-	if pl.At.X < area.X0 || pl.At.X >= area.X1 || pl.At.Y < area.Y0 || pl.At.Y >= area.Y1 {
+	pr := in.pr
+	if !pr.chip.PlacementArea(pl.Shape).Contains(pl.At) || !pr.admissible(op, pl, fixed, nil, relaxRC) {
 		return false
 	}
-	a := in.pr.res.Assay
-	var fixedParents []arch.Placement
-	for _, p := range a.DeviceParents(op) {
-		if ppl, ok := fixed[p]; ok {
-			fixedParents = append(fixedParents, ppl)
-		}
-	}
-	var obstacles []obstacle
+	fp := pl.Footprint()
 	for j, jpl := range fixed {
-		if j == op || !in.pr.overlapsInTime(op, j) {
-			continue
+		if j != op && pr.overlapsInTime(op, j) && !pr.clear(op, fp, j, jpl.Footprint()) {
+			return false
 		}
-		obstacles = append(obstacles, obstacle{
-			pl:        jpl,
-			overlapOK: in.pr.storagePair(op, j),
-			window:    in.pr.win[j],
-		})
 	}
-	return in.pr.admissible(op, pl, fixedParents, obstacles, candOpts{relaxRC: relaxRC})
+	return true
 }
 
 // RCWithChildren reports whether placing op at pl keeps every fixed

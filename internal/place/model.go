@@ -2,7 +2,6 @@ package place
 
 import (
 	"fmt"
-	"sort"
 
 	"mfsynth/internal/arch"
 	"mfsynth/internal/grid"
@@ -55,17 +54,17 @@ type opModel struct {
 //	w ≥ max(largest past load, ⌈(past inner load + rings) / (g−2)²⌉)
 //
 // rings is the summed ring volume of the mix ops to place and past the load
-// already on the valves (fixed placements, wear prior; nil for none). The
-// bound stays valid on faulty chips: excluded cells only raise the true
-// minimum.
-func PumpBound(g, rings int, past map[grid.Point]int) int {
+// already on the valves (fixed placements, wear prior) as a flat g×g slice
+// indexed y·g+x, nil for none. The bound stays valid on faulty chips:
+// excluded cells only raise the true minimum.
+func PumpBound(g, rings int, past []int) int {
 	inner := grid.RectWH(0, 0, g, g).Expand(-1)
 	maxPast, total := 0, rings
-	for pt, n := range past {
+	for i, n := range past {
 		if n > maxPast {
 			maxPast = n
 		}
-		if inner.Contains(pt) {
+		if inner.Contains(grid.Point{X: i % g, Y: i / g}) {
 			total += n
 		}
 	}
@@ -91,13 +90,13 @@ type batchGreedy struct {
 
 // runBatchGreedy runs the multi-start greedy over the batch once; its
 // result is the certificate candidate, the ILP incumbent and the fallback.
-func (pr *problem) runBatchGreedy(sp *obs.Span, free []int, fixed map[int]arch.Placement, pump map[grid.Point]int) batchGreedy {
+func (pr *problem) runBatchGreedy(sp *obs.Span, free []int, fixed map[int]arch.Placement, pump []int) batchGreedy {
 	all, info, err := pr.multiStartGreedy(sp, free, fixed, pump)
 	if err != nil {
 		return batchGreedy{err: err}
 	}
 	g := batchGreedy{placements: make(map[int]arch.Placement, len(free)), rcRelaxed: info.rcRelaxed}
-	load := clonePump(pump)
+	load := append([]int(nil), pump...)
 	for _, op := range free {
 		pl, ok := all[op]
 		if !ok {
@@ -105,8 +104,9 @@ func (pr *problem) runBatchGreedy(sp *obs.Span, free []int, fixed map[int]arch.P
 		}
 		g.placements[op] = pl
 		if pr.pump[op] {
-			for _, pt := range pl.Ring() {
-				load[pt]++
+			at, offs := pr.ring(pl)
+			for _, off := range offs {
+				load[at+off]++
 			}
 		}
 	}
@@ -126,7 +126,7 @@ func (pr *problem) runBatchGreedy(sp *obs.Span, free []int, fixed map[int]arch.P
 // pump use, and the compactness term stays below it) fed a bound that
 // costs O(ops) instead of a root LP. Otherwise the paper's ILP is built and
 // solved, with greedy's result as incumbent and final fallback.
-func (pr *problem) solveBatch(free []int, fixed map[int]arch.Placement, pump map[grid.Point]int, opts batchOpts) (map[int]arch.Placement, batchInfo, error) {
+func (pr *problem) solveBatch(free []int, fixed map[int]arch.Placement, pump []int, opts batchOpts) (map[int]arch.Placement, batchInfo, error) {
 	g := pr.runBatchGreedy(opts.obs, free, fixed, pump)
 	rings := 0
 	for _, op := range free {
@@ -146,7 +146,7 @@ func (pr *problem) solveBatch(free []int, fixed map[int]arch.Placement, pump map
 // solveModel maps the free operations via the paper's ILP, with already
 // fixed placements as context: their footprints prune candidates and their
 // peristaltic loads enter the v(x,y) accumulation as constants.
-func (pr *problem) solveModel(free []int, fixed map[int]arch.Placement, pump map[grid.Point]int, opts batchOpts, g batchGreedy) (map[int]arch.Placement, batchInfo, error) {
+func (pr *problem) solveModel(free []int, fixed map[int]arch.Placement, pump []int, opts batchOpts, g batchGreedy) (map[int]arch.Placement, batchInfo, error) {
 	info := batchInfo{exact: true, solved: 1}
 
 	// 1. Candidates.
@@ -187,12 +187,12 @@ func (pr *problem) solveModel(free []int, fixed map[int]arch.Placement, pump map
 	// 0.999 integrality gap of the objective w.
 	const eps = 0.0002
 
-	coordCover := map[grid.Point][]milp.Term{} // ring coverage terms per valve
+	coordCover := make([][]milp.Term, len(pump)) // ring coverage terms per valve
 	for _, om := range oms {
 		assign := make([]milp.Term, 0, len(om.cands))
 		for ci, pl := range om.cands {
 			attract := pr.portPull(om.op, pl.Footprint())
-			for _, p := range pr.res.Assay.DeviceParents(om.op) {
+			for _, p := range pr.parents[om.op] {
 				if ppl, ok := fixed[p]; ok {
 					attract += 4 * pl.Footprint().Distance(ppl.Footprint())
 				}
@@ -206,31 +206,23 @@ func (pr *problem) solveModel(free []int, fixed map[int]arch.Placement, pump map
 			om.bottom = append(om.bottom, milp.T(v, float64(fp.Y0)))
 			om.top = append(om.top, milp.T(v, float64(fp.Y1)))
 			if pr.pump[om.op] {
-				for _, pt := range pl.Ring() {
-					coordCover[pt] = append(coordCover[pt], milp.T(v, 1))
+				at, offs := pr.ring(pl)
+				for _, off := range offs {
+					coordCover[at+off] = append(coordCover[at+off], milp.T(v, 1))
 				}
 			}
 		}
 		m.AddRow(assign, milp.EQ, 1) // constraint (1)
 		m.AddSOS1(om.vars)           // branch by splitting the candidate set
 	}
-	// Constraints (2) and (9): w bounds the accumulated peristaltic load.
-	// Row order must not depend on map iteration: the simplex pivot path
+	// Constraints (2) and (9): w bounds the accumulated peristaltic load,
+	// one row per covered valve in (y, x) order. The simplex pivot path
 	// (and with it the perf gate's work counters) follows the row order,
 	// even though the optimum does not.
-	pts := make([]grid.Point, 0, len(coordCover))
-	for pt := range coordCover {
-		pts = append(pts, pt)
-	}
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].Y != pts[j].Y {
-			return pts[i].Y < pts[j].Y
+	for i, terms := range coordCover {
+		if len(terms) > 0 {
+			m.AddRow(append(terms, milp.T(w, -1)), milp.LE, float64(-pump[i]))
 		}
-		return pts[i].X < pts[j].X
-	})
-	for _, pt := range pts {
-		row := append(append([]milp.Term(nil), coordCover[pt]...), milp.T(w, -1))
-		m.AddRow(row, milp.LE, float64(-pump[pt]))
 	}
 
 	bigM := float64(3*pr.cfg.Grid + 8)

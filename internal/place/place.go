@@ -32,7 +32,6 @@ import (
 	"mfsynth/internal/arch"
 	"mfsynth/internal/fault"
 	"mfsynth/internal/graph"
-	"mfsynth/internal/grid"
 	"mfsynth/internal/milp"
 	"mfsynth/internal/obs"
 	"mfsynth/internal/schedule"
@@ -274,26 +273,42 @@ func (pr *problem) flushObs(m *Mapping) {
 // pairKey identifies a (child, parent) overlap permission.
 type pairKey struct{ child, parent int }
 
-// problem is the shared mapping state.
+// problem is the shared mapping state. Every static fact of the problem is
+// built once by newProblem into a table indexed by assay op ID (0..Len-1)
+// and is read-only afterwards, so an Instance can serve concurrent
+// searches; only forbidden changes, between repair iterations.
 type problem struct {
 	res *schedule.Result
 	cfg Config
 	ctx context.Context // cancellation; context.Background() via Map
 
 	chip *arch.Chip
-	ops  []int          // on-chip operations in device-creation order
-	win  map[int][2]int // device lifetime incl. storage phase
-	vol  map[int]int    // device ring volume
-	shp  map[int][]arch.Shape
-	pump map[int]bool // contributes peristaltic load (mix ops)
-	stor map[int]*storage.Timeline
-	d    int // routing-convenient distance
+	ops  []int // on-chip operations in device-creation order
+	d    int   // routing-convenient distance
+
+	// Per-op tables; entries of off-chip ops (inputs, outputs) stay zero.
+	win      [][2]int // device lifetime incl. storage phase
+	vol      []int    // device ring volume
+	shp      [][]arch.Shape
+	pump     []bool // contributes peristaltic load (mix ops)
+	stor     []*storage.Timeline
+	parents  [][]int // device parents (graph.Assay.DeviceParents)
+	children [][]int // on-chip device children, in creation order
+	siblings [][]int // the other device parents of op's on-chip children
+	inLoads  []int   // edges from input ports into op
+	leaf     []bool  // op's product drains to the output port
+
+	// ringOffs holds each fitting shape's ring cells as offsets from the
+	// anchor's load index, indexed like a cell by (W, H): see ring.
+	ringOffs [][]int
+	// faults is Config.Faults sorted by (Y, X), listed once.
+	faults []fault.Fault
 
 	forbidden map[pairKey]bool // (child,parent) pairs that may not overlap
 
-	// prior holds Config.WearPrior's non-zero entries by cell; empty on a
-	// fresh chip, so the wear-aware paths cost one length check.
-	prior map[grid.Point]int
+	// prior is Config.WearPrior, or nil when it carries no load, so the
+	// wear-aware paths cost one nil check on a fresh chip.
+	prior []int
 
 	// arenas carries the branch-and-bound solver state (tableau arenas,
 	// warm-start lanes, snapshot pool) across every ILP solve of this
@@ -303,35 +318,42 @@ type problem struct {
 }
 
 func newProblem(res *schedule.Result, cfg Config) (*problem, error) {
+	a := res.Assay
+	n, g := a.Len(), cfg.Grid
 	pr := &problem{
 		res:       res,
 		cfg:       cfg,
 		ctx:       context.Background(),
-		chip:      arch.NewChip(cfg.Grid, cfg.Grid),
-		win:       map[int][2]int{},
-		vol:       map[int]int{},
-		shp:       map[int][]arch.Shape{},
-		pump:      map[int]bool{},
-		stor:      map[int]*storage.Timeline{},
+		chip:      arch.NewChip(g, g),
+		win:       make([][2]int, n),
+		vol:       make([]int, n),
+		shp:       make([][]arch.Shape, n),
+		pump:      make([]bool, n),
+		stor:      make([]*storage.Timeline, n),
+		parents:   make([][]int, n),
+		children:  make([][]int, n),
+		siblings:  make([][]int, n),
+		inLoads:   make([]int, n),
+		leaf:      make([]bool, n),
+		ringOffs:  make([][]int, g*g),
+		faults:    cfg.Faults.Faults(),
 		forbidden: map[pairKey]bool{},
-		prior:     map[grid.Point]int{},
 		arenas:    milp.NewArenas(),
 	}
-	if n := len(cfg.WearPrior); n != 0 {
-		if n != cfg.Grid*cfg.Grid {
+	if len(cfg.WearPrior) != 0 {
+		if len(cfg.WearPrior) != g*g {
 			return nil, fmt.Errorf("place: WearPrior has %d entries, want %d for a %dx%d grid",
-				n, cfg.Grid*cfg.Grid, cfg.Grid, cfg.Grid)
+				len(cfg.WearPrior), g*g, g, g)
 		}
 		for i, v := range cfg.WearPrior {
 			if v < 0 {
 				return nil, fmt.Errorf("place: WearPrior[%d] is negative (%d)", i, v)
 			}
 			if v > 0 {
-				pr.prior[grid.Point{X: i % cfg.Grid, Y: i / cfg.Grid}] = v
+				pr.prior = cfg.WearPrior
 			}
 		}
 	}
-	a := res.Assay
 	var volumes []int
 	for _, id := range res.OpsByCreation() {
 		op := a.Op(id)
@@ -352,7 +374,14 @@ func newProblem(res *schedule.Result, cfg Config) (*problem, error) {
 		}
 		if len(fit) == 0 {
 			return nil, synerr.Infeasible("place", "op %s (volume %d) does not fit a %dx%d chip",
-				op.Name, v, cfg.Grid, cfg.Grid)
+				op.Name, v, g, g)
+		}
+		for _, s := range fit {
+			if k := s.H*g + s.W; pr.ringOffs[k] == nil {
+				for _, pt := range (arch.Placement{Shape: s}).Ring() {
+					pr.ringOffs[k] = append(pr.ringOffs[k], pt.Y*g+pt.X)
+				}
+			}
 		}
 		pr.ops = append(pr.ops, id)
 		from, to := res.DeviceWindow(id)
@@ -361,10 +390,36 @@ func newProblem(res *schedule.Result, cfg Config) (*problem, error) {
 		pr.shp[id] = fit
 		pr.pump[id] = op.Kind == graph.Mix
 		pr.stor[id] = storage.NewTimeline(res, id, v)
+		pr.parents[id] = a.DeviceParents(id)
+		for _, e := range a.In(id) {
+			if a.Op(e.From).Kind == graph.Input {
+				pr.inLoads[id]++
+			}
+		}
+		pr.leaf[id] = len(a.Out(id)) == 0
 		volumes = append(volumes, v)
 	}
 	if len(pr.ops) == 0 {
 		return nil, synerr.Infeasible("place", "assay %q has no on-chip operations", a.Name)
+	}
+	for _, c := range pr.ops {
+		for _, p := range pr.parents[c] {
+			pr.children[p] = append(pr.children[p], c)
+		}
+	}
+	for _, op := range pr.ops {
+		seen := map[int]bool{op: true}
+		for _, child := range a.Children(op) {
+			if !pr.onChip(child) {
+				continue
+			}
+			for _, p := range pr.parents[child] {
+				if !seen[p] {
+					seen[p] = true
+					pr.siblings[op] = append(pr.siblings[op], p)
+				}
+			}
+		}
 	}
 	pr.d = arch.MinShapeDim(volumes)
 	return pr, nil
@@ -384,19 +439,29 @@ func DeviceVolume(fluid int) int {
 	return v
 }
 
-// seedPump returns the initial per-valve load accumulator every solve
-// starts from: the wear prior's non-zero entries, or an empty map on a
-// fresh chip.
-func (pr *problem) seedPump() map[grid.Point]int {
-	out := make(map[grid.Point]int, len(pr.prior))
-	for pt, n := range pr.prior {
-		out[pt] = n
-	}
+// seedPump returns the per-valve load every solve starts from, as a flat
+// Grid×Grid slice indexed y·Grid+x: a copy of the wear prior, or zeros on
+// a fresh chip.
+func (pr *problem) seedPump() []int {
+	out := make([]int, pr.cfg.Grid*pr.cfg.Grid)
+	copy(out, pr.prior)
 	return out
 }
 
 // wearAware reports whether a wear prior is steering this mapping.
-func (pr *problem) wearAware() bool { return len(pr.prior) > 0 }
+func (pr *problem) wearAware() bool { return pr.prior != nil }
+
+// onChip reports whether op occupies a device (every op but inputs and
+// outputs).
+func (pr *problem) onChip(op int) bool { return pr.shp[op] != nil }
+
+// ring returns pl's pump-ring cells as indices into a flat load slice
+// without allocating: cell k is at+offs[k], in the row-major order of
+// arch.Placement.Ring. offs is shared and must not be modified.
+func (pr *problem) ring(pl arch.Placement) (at int, offs []int) {
+	g := pr.cfg.Grid
+	return pl.At.Y*g + pl.At.X, pr.ringOffs[pl.Shape.H*g+pl.Shape.W]
+}
 
 // overlapsInTime reports whether the device windows of a and b intersect.
 func (pr *problem) overlapsInTime(a, b int) bool {
@@ -415,7 +480,7 @@ func (pr *problem) storagePair(child, parent int) bool {
 	if pr.forbidden[pairKey{child, parent}] {
 		return false
 	}
-	for _, p := range pr.res.Assay.DeviceParents(child) {
+	for _, p := range pr.parents[child] {
 		if p == parent {
 			return true
 		}
@@ -431,11 +496,10 @@ func (pr *problem) rcPairs() [][2]int {
 	}
 	var out [][2]int
 	for _, id := range pr.ops {
-		for _, p := range pr.res.Assay.DeviceParents(id) {
-			if _, ok := pr.win[p]; !ok {
-				continue
+		for _, p := range pr.parents[id] {
+			if pr.onChip(p) {
+				out = append(out, [2]int{p, id})
 			}
-			out = append(out, [2]int{p, id})
 		}
 	}
 	return out
@@ -455,7 +519,7 @@ func (pr *problem) storageViolations(m *Mapping) []pairKey {
 		if !ok {
 			continue
 		}
-		for _, p := range pr.res.Assay.DeviceParents(id) {
+		for _, p := range pr.parents[id] {
 			parent, ok := m.Placements[p]
 			if !ok {
 				continue

@@ -47,8 +47,9 @@ func (pr *problem) solveRolling(sp *obs.Span) (*Mapping, error) {
 		for op, pl := range placements {
 			fixed[op] = pl
 			if pr.pump[op] {
-				for _, pt := range pl.Ring() {
-					pump[pt]++
+				at, offs := pr.ring(pl)
+				for _, off := range offs {
+					pump[at+off]++
 				}
 			}
 		}
