@@ -36,7 +36,7 @@ type obstacle struct {
 //     that op's storage may overlap under the c5 relaxation — those only
 //     admit overlaps that fit the storage's free space;
 //   - fixed device parents keep op within the routing-convenient distance d
-//     (constraints (13)-(16)) unless relaxRC is set.
+//     (constraints (13)-(16)) unless relaxRC or NoRoutingConvenient is set.
 func (pr *problem) candidates(op int, fixed map[int]arch.Placement, o candOpts) []arch.Placement {
 	var obstacles []obstacle
 	for j, pl := range fixed {
@@ -70,11 +70,12 @@ func (pr *problem) candidates(op int, fixed map[int]arch.Placement, o candOpts) 
 
 // admissible checks one placement of op against fixed context: the
 // routing-convenient distance to op's fixed device parents (unless
-// relaxRC), the fault rules, and clearance from every obstacle.
-// Candidate enumeration lists the obstacles once for all positions.
+// relaxRC, or the config drops constraints (13)-(16)), the fault rules,
+// and clearance from every obstacle. Candidate enumeration lists the
+// obstacles once for all positions.
 func (pr *problem) admissible(op int, pl arch.Placement, fixed map[int]arch.Placement, obstacles []obstacle, relaxRC bool) bool {
 	fp := pl.Footprint()
-	if !relaxRC && !pr.nearParents(op, fp, fixed) {
+	if !relaxRC && !pr.cfg.NoRoutingConvenient && !pr.nearParents(op, fp, fixed) {
 		return false
 	}
 	if !pr.faultAdmissible(pl) {

@@ -184,3 +184,42 @@ func TestRingMatchesPlacementRing(t *testing.T) {
 		}
 	}
 }
+
+// TestNoRoutingConvenientDropsParentDistance: with constraints (13)-(16)
+// dropped, a placement farther than d from its fixed device parent is
+// admissible; with them kept, it is not.
+func TestNoRoutingConvenientDropsParentDistance(t *testing.T) {
+	sched := pcrSchedule(t)
+	for _, drop := range []bool{false, true} {
+		inst, err := NewInstance(sched, Config{Grid: 12, NoRoutingConvenient: drop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		child, parent := -1, -1
+		for _, op := range inst.Ops() {
+			if ps := inst.pr.parents[op]; len(ps) > 0 {
+				child, parent = op, ps[0]
+				break
+			}
+		}
+		if child < 0 {
+			t.Fatal("PCR has no op with a device parent")
+		}
+		s := inst.Shapes(parent)[0]
+		fixed := map[int]arch.Placement{parent: {At: grid.Point{X: 1, Y: 1}, Shape: s}}
+		far := 0
+		for _, pl := range inst.Candidates(child, fixed, true) {
+			if pl.Footprint().Distance(fixed[parent].Footprint()) <= inst.RCDist() {
+				continue
+			}
+			far++
+			if got := inst.Admissible(child, pl, fixed, false); got != drop {
+				t.Fatalf("NoRoutingConvenient %v: %v at distance %d > d = %d admissible %v",
+					drop, pl, pl.Footprint().Distance(fixed[parent].Footprint()), inst.RCDist(), got)
+			}
+		}
+		if far == 0 {
+			t.Fatal("no candidate lies beyond the routing-convenient distance")
+		}
+	}
+}

@@ -91,7 +91,9 @@ type Config struct {
 	// NoStorageOverlap disables the c5 relaxation entirely (ablation):
 	// storages may never overlap their parent devices.
 	NoStorageOverlap bool
-	// NoRoutingConvenient drops constraints (13)-(16) (ablation).
+	// NoRoutingConvenient drops constraints (13)-(16) (ablation): no
+	// operation is kept within distance d of its device parents, neither
+	// fixed ones in candidate enumeration nor free ones in the ILP.
 	NoRoutingConvenient bool
 	// Obs, when non-nil, is the parent span the mapper reports under:
 	// per-repair-iteration spans, per-batch ILP spans, multi-start greedy
