@@ -158,22 +158,34 @@ func TestPortfolioRescuesNoIncumbent(t *testing.T) {
 		t.Fatal("no probed seed drives the capped B&B to NoIncumbent > 0; pick a new corpus")
 	}
 
-	run := func() *core.Result {
+	run := func() (*core.Result, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
-		res, err := core.SynthesizeCtx(ctx, hard, core.Options{
+		return core.SynthesizeCtx(ctx, hard, core.Options{
 			Policy:   racePolicy(hard),
 			Place:    pcfg,
 			Backends: []core.Backend{core.BackendILP, core.BackendGreedy, core.BackendAnneal},
 			Anneal:   core.AnnealOptions{Seed: 11, Replicates: 3, Iters: 500},
 		})
+	}
+
+	// The determinism check's two runs are independent. Each keeps about
+	// one core busy for minutes under the race detector, so they run at
+	// once.
+	var again *core.Result
+	var againErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		again, againErr = run()
+	}()
+	res, err := run()
+	<-done
+	for _, err := range []error{err, againErr} {
 		if err != nil {
 			t.Fatalf("portfolio failed on the no-incumbent instance: %v", err)
 		}
-		return res
 	}
-
-	res := run()
 	if res.Backend == "" || res.Race == nil {
 		t.Fatal("portfolio result carries no backend/race report")
 	}
@@ -181,7 +193,6 @@ func TestPortfolioRescuesNoIncumbent(t *testing.T) {
 		t.Fatalf("portfolio result fails conformance:\n%s", rep)
 	}
 
-	again := run()
 	if verify.Fingerprint(res) != verify.Fingerprint(again) {
 		t.Errorf("portfolio result not deterministic for a fixed seed")
 	}
