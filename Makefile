@@ -102,7 +102,7 @@ bench-json:
 # greedy and anneal placement), refreshing the committed BENCH_micro.txt
 # snapshot.
 bench:
-	go test -run '^$$' -bench=. -benchmem -count=5 ./internal/lp/ ./internal/milp/ ./internal/route/ ./internal/place/ ./internal/anneal/ | tee BENCH_micro.txt
+	go test -run '^$$' -bench=. -benchmem -count=5 ./internal/lp/ ./internal/milp/ ./internal/route/ ./internal/place/ | tee BENCH_micro.txt
 
 # Perf gate: re-run Table 1 with the debug server live and compare against
 # the committed snapshots — synthesis results must match exactly (proving
@@ -123,7 +123,7 @@ bench-gate:
 	wait $$pid || exit 1; \
 	[ $$live -eq 1 ] || { echo "bench-gate: /metrics never showed milp_gap mid-run"; exit 1; }
 	go run ./tools/tracecheck -progress .bench-progress.jsonl
-	go test -run '^$$' -bench=. -benchmem -count=1 ./internal/lp/ ./internal/milp/ ./internal/route/ ./internal/place/ ./internal/anneal/ > .bench-fresh-micro.txt
+	go test -run '^$$' -bench=. -benchmem -count=1 ./internal/lp/ ./internal/milp/ ./internal/route/ ./internal/place/ > .bench-fresh-micro.txt
 	go test -run '^$$' -bench ObsOverhead -benchtime 3x -count 3 ./internal/obs/export/ > .bench-overhead.txt
 	go run ./tools/benchgate -old BENCH_table1.json -new .bench-fresh.json \
 		-micro-old BENCH_micro.txt -micro-new .bench-fresh-micro.txt \

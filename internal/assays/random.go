@@ -11,8 +11,9 @@ import (
 type RandomOptions struct {
 	// MixOps is the number of mixing operations (default 8).
 	MixOps int
-	// MaxFanIn bounds how many mix products one mix may consume (default 2;
-	// at least 1 input edge always comes from a port or a product).
+	// MaxFanIn bounds a mix's fan-in (default 2): it consumes at most
+	// MaxFanIn-1 mix products, and its remaining volume comes from input
+	// ports. At the default no mix has two device parents.
 	MaxFanIn int
 	// Detects adds this many detection operations on random products.
 	Detects int

@@ -111,7 +111,7 @@ func TestPhaseCancellation(t *testing.T) {
 
 // TestRouteNetMaxRipups: the rip-up budget must come from Options.MaxRipups
 // — a budget of one attempt fails on a net that needs a rip-up, while the
-// zero-value default (8) succeeds with a detour.
+// default (8) succeeds with a detour.
 func TestRouteNetMaxRipups(t *testing.T) {
 	mkNet := func(r *Result, id int) net {
 		return net{
@@ -134,8 +134,8 @@ func TestRouteNetMaxRipups(t *testing.T) {
 		t.Fatalf("MaxRipups=1: err = %v, want ErrNoPath", err)
 	}
 
-	// Zero value: routeNet applies the default budget of 8 and the
-	// rip-up succeeds with a detour around the storage.
+	// Default options: the budget of 8 lets the rip-up succeed with a
+	// detour around the storage.
 	r2, pl2 := fullStorageResult(t)
 	id2 := opID(t, r2, "mC")
 	router2 := route.New(grid.RectWH(0, 0, 10, 10))

@@ -77,7 +77,7 @@ type Options struct {
 	// faults the result is bit-identical to a run without this field.
 	Faults *fault.Set
 	// MaxRipups bounds the rip-up & re-route attempts per net
-	// (Algorithm 1 L13-L17). Default 8.
+	// (Algorithm 1 L13-L17). Default 8, also for negative values.
 	MaxRipups int
 	// DisableDegradation keeps the nominal candidates only: when all of
 	// them fail, so does the run. Failed routes and wear overruns are
@@ -108,29 +108,33 @@ type Options struct {
 	WearCounts []int
 }
 
-// withDefaults resolves the derived option defaults shared by every
-// entry point (SynthesizeCtx, Complete).
-func (o Options) withDefaults() Options {
+// WithDefaults resolves the option defaults shared by every entry point
+// (SynthesizeCtx, Complete); the canonical request of internal/verify is
+// written from it, so a request and its run cannot disagree on a default.
+// Place's own defaults are place.Config.WithDefaults'.
+func (o Options) WithDefaults() Options {
 	if o.PumpActuations == 0 {
 		o.PumpActuations = DefaultPumpActuations
 	}
 	if o.DedicatedPumpValves == 0 {
 		o.DedicatedPumpValves = DefaultDedicatedPumpValves
 	}
+	if o.MaxRipups <= 0 {
+		o.MaxRipups = 8
+	}
 	if o.Place.Grid == 0 {
 		o.Place.Grid = 10
 	}
 	if o.WearBias > 0 && len(o.WearCounts) > 0 && o.Place.WearPrior == nil {
-		o.Place.WearPrior = WearPriorUnits(o.WearCounts, o.WearBias, o.PumpActuations)
+		o.Place.WearPrior = wearPriorUnits(o.WearCounts, o.WearBias, o.PumpActuations)
 	}
 	return o
 }
 
-// WearPriorUnits converts cumulative per-valve actuation counters into the
+// wearPriorUnits converts cumulative per-valve actuation counters into the
 // per-operation load units place.Config.WearPrior expects, scaled by the
-// bias weight: round(count × bias / pumpActuations). Exported so the
-// canonical-request writer resolves the prior exactly as the engine does.
-func WearPriorUnits(counts []int, bias float64, pumpActuations int) []int {
+// bias weight: round(count × bias / pumpActuations).
+func wearPriorUnits(counts []int, bias float64, pumpActuations int) []int {
 	if pumpActuations <= 0 {
 		pumpActuations = DefaultPumpActuations
 	}
@@ -276,7 +280,7 @@ const maxWearRounds = 4
 // by maxWearRounds).
 func SynthesizeCtx(ctx context.Context, a *graph.Assay, opts Options) (res *Result, err error) {
 	start := time.Now()
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	root := opts.Trace.Start("synthesize",
 		obs.KV("assay", a.Name), obs.KV("grid", opts.Place.Grid),
 		obs.KV("workers", opts.Workers))
@@ -376,7 +380,7 @@ func phaseDo(ctx context.Context, phase string, f func(ctx context.Context)) {
 // through it so verify.Conformance can audit states the normal flow never
 // surfaces.
 func Complete(ctx context.Context, a *graph.Assay, sched *schedule.Result, m *place.Mapping, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	root := opts.Trace.Start("complete", obs.KV("assay", a.Name))
 	defer root.End()
 	start := time.Now()
@@ -730,11 +734,7 @@ func (r *Result) routeStep(ctx context.Context, router *route.Router, t int, net
 func (r *Result) routeNet(router *route.Router, n net, t int, ro *routeObs) (route.Path, error) {
 	m := r.Mapping
 	delay := r.Schedule.TransportDelay
-	limit := r.opts.MaxRipups
-	if limit <= 0 {
-		limit = 8
-	}
-	for attempt := 0; attempt < limit; attempt++ {
+	for attempt := 0; attempt < r.opts.MaxRipups; attempt++ {
 		path, err := router.Route(n.from, n.to)
 		if err != nil {
 			return nil, err

@@ -45,6 +45,7 @@ func fullStorageResult(t *testing.T) (*Result, arch.Placement) {
 		Assay:    a,
 		Schedule: res,
 		Grid:     10,
+		opts:     Options{}.WithDefaults(), // as the pipeline resolves them
 		Mapping: &place.Mapping{
 			Placements: map[int]arch.Placement{mC.ID: pl},
 			Windows:    map[int][2]int{mC.ID: {tl.Start, res.Finish[mC.ID]}},

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"mfsynth/internal/anneal"
 	"mfsynth/internal/graph"
 	"mfsynth/internal/obs"
 	"mfsynth/internal/place"
@@ -30,7 +29,7 @@ const (
 	// BackendGreedy is the constructive multi-start heuristic.
 	BackendGreedy Backend = "greedy"
 	// BackendAnneal is the seeded simulated-annealing mapper
-	// (internal/anneal).
+	// (place.Anneal).
 	BackendAnneal Backend = "anneal"
 )
 
@@ -73,45 +72,9 @@ func normalizeBackends(bs []Backend) ([]Backend, error) {
 	return out, nil
 }
 
-// AnnealOptions tunes the simulated-annealing backend. The zero value
-// means the anneal package defaults, so a zero-valued struct and one with
-// the defaults spelled out fingerprint identically (the canonical-request
-// contract).
-type AnnealOptions struct {
-	// Seed is the base RNG seed (default anneal.DefaultSeed). The result
-	// is a pure function of the seed: same seed, same mapping.
-	Seed int64
-	// Replicates is the number of independent restarts (default 8).
-	Replicates int
-	// Iters is the per-replicate move budget (default 4000).
-	Iters int
-	// InitTemp and Cooling define the geometric temperature schedule
-	// (defaults 1.5 and 0.998).
-	InitTemp float64
-	Cooling  float64
-}
-
-// WithDefaults returns the options with every zero field replaced by its
-// default. verify's canonical request uses it so the fingerprint is
-// stable under spelling out defaults.
-func (a AnnealOptions) WithDefaults() AnnealOptions {
-	if a.Seed == 0 {
-		a.Seed = anneal.DefaultSeed
-	}
-	if a.Replicates == 0 {
-		a.Replicates = anneal.DefaultReplicates
-	}
-	if a.Iters == 0 {
-		a.Iters = anneal.DefaultIters
-	}
-	if a.InitTemp == 0 {
-		a.InitTemp = anneal.DefaultInitTemp
-	}
-	if a.Cooling == 0 {
-		a.Cooling = anneal.DefaultCooling
-	}
-	return a
-}
+// AnnealOptions tunes the simulated-annealing backend; zero fields mean
+// the defaults (see place.AnnealOptions).
+type AnnealOptions = place.AnnealOptions
 
 // Cost is the one quality order that chooses between the results of
 // different producers, compared lexicographically, best first:
@@ -236,21 +199,10 @@ func (c candidate) config(base place.Config) place.Config {
 // produce runs the candidate's mapper; workers bounds the anneal
 // replicate fan-out.
 func (c candidate) produce(ctx context.Context, sched *schedule.Result, cfg place.Config, an AnnealOptions, workers int) (*place.Mapping, error) {
-	if c.backend != BackendAnneal {
-		return place.MapCtx(ctx, sched, cfg)
+	if c.backend == BackendAnneal {
+		return place.Anneal(ctx, sched, cfg, an, workers)
 	}
-	an = an.WithDefaults()
-	m, _, err := anneal.MapCtx(ctx, sched, anneal.Config{
-		Place:      cfg,
-		Seed:       an.Seed,
-		Replicates: an.Replicates,
-		Iters:      an.Iters,
-		InitTemp:   an.InitTemp,
-		Cooling:    an.Cooling,
-		Workers:    workers,
-		Obs:        cfg.Obs,
-	})
-	return m, err
+	return place.MapCtx(ctx, sched, cfg)
 }
 
 // tier is a group of candidates that compete under Cost. A tier runs only

@@ -229,7 +229,7 @@ func (c *ChipState) remainingRuns() int {
 }
 
 // mix64 is a splitmix64 finaliser, the repo's standard seeded-stream
-// derivation (see internal/anneal): adjacent inputs decorrelate fully.
+// derivation (see place.Anneal): adjacent inputs decorrelate fully.
 func mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

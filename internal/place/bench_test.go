@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"testing"
 
 	"mfsynth/internal/assays"
@@ -48,6 +49,22 @@ func BenchmarkGreedyServePool(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, c := range pool {
 			if _, err := Map(c.sched, Config{Grid: 12, Mode: Greedy, Faults: c.faults}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkAnnealServePool anneals the pool cases at the default budget,
+// replicates run serially: the placement work of a served anneal
+// candidate.
+func BenchmarkAnnealServePool(b *testing.B) {
+	pool := servePool(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, c := range pool {
+			if _, err := Anneal(context.Background(), c.sched, Config{Grid: 12, Faults: c.faults}, AnnealOptions{Seed: int64(k + 1)}, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -159,7 +159,7 @@ func TestPumpBoundEnumeration(t *testing.T) {
 	checked, tight := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
 		sched, cfg := tinyProblem(t, seed)
-		pr, err := newProblem(sched, cfg.withDefaults())
+		pr, err := newProblem(sched, cfg.WithDefaults())
 		if err != nil {
 			continue
 		}
@@ -203,7 +203,7 @@ func TestPumpBoundEnumeration(t *testing.T) {
 // instance.
 func batchOf(t *testing.T, sched *schedule.Result, cfg Config) (*problem, []int) {
 	t.Helper()
-	pr, err := newProblem(sched, cfg.withDefaults())
+	pr, err := newProblem(sched, cfg.WithDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestRollingStatsCountCertifiedBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		label := fmt.Sprintf("random%d grid %d", tc.seed, tc.grid)
-		checkMapping(t, sched, m, cfg.withDefaults())
+		checkMapping(t, sched, m, cfg.WithDefaults())
 		if (m.Stats.Certified > 0) != tc.certified || (m.Stats.ILPSolves > 0) != tc.ilps {
 			t.Errorf("%s: stats %+v, want certified %v and ILP solves %v", label, m.Stats, tc.certified, tc.ilps)
 		}

@@ -25,9 +25,17 @@ type obstacle struct {
 	fp grid.Rect
 }
 
-// candidates enumerates the admissible placements of op given the already
-// fixed placements, in (shape preference, y, x) order. The rules, mirroring
-// the ILP constraints against fixed context:
+// candidates lists the admissible placements of op given the already fixed
+// placements, in eachCandidate's order.
+func (pr *problem) candidates(op int, fixed map[int]arch.Placement, o candOpts) []arch.Placement {
+	var out []arch.Placement
+	pr.eachCandidate(op, fixed, o, func(pl arch.Placement) { out = append(out, pl) })
+	return out
+}
+
+// eachCandidate calls visit with every admissible placement of op given the
+// already fixed placements, in (shape preference, y, x) order. The rules,
+// mirroring the ILP constraints against fixed context:
 //
 //   - the footprint and wall band fit on the chip;
 //   - parentless operations use a thinned position lattice (RootStride);
@@ -37,15 +45,15 @@ type obstacle struct {
 //     admit overlaps that fit the storage's free space;
 //   - fixed device parents keep op within the routing-convenient distance d
 //     (constraints (13)-(16)) unless relaxRC or NoRoutingConvenient is set.
-func (pr *problem) candidates(op int, fixed map[int]arch.Placement, o candOpts) []arch.Placement {
-	var obstacles []obstacle
+func (pr *problem) eachCandidate(op int, fixed map[int]arch.Placement, o candOpts, visit func(arch.Placement)) {
+	var buf [32]obstacle // spills to the heap only past 32 live devices
+	obstacles := buf[:0]
 	for j, pl := range fixed {
 		if j != op && pr.overlapsInTime(op, j) {
 			obstacles = append(obstacles, obstacle{op: j, fp: pl.Footprint()})
 		}
 	}
 	shapes := pr.shp[op]
-	var out []arch.Placement
 	for k := range shapes {
 		s := shapes[(k+o.shapeRot)%len(shapes)]
 		area := pr.chip.PlacementArea(s)
@@ -60,12 +68,11 @@ func (pr *problem) candidates(op int, fixed map[int]arch.Placement, o candOpts) 
 			for x := x0; x < area.X1; x += stride {
 				pl := arch.Placement{At: grid.Point{X: x, Y: y}, Shape: s}
 				if pr.admissible(op, pl, fixed, obstacles, o.relaxRC) {
-					out = append(out, pl)
+					visit(pl)
 				}
 			}
 		}
 	}
-	return out
 }
 
 // admissible checks one placement of op against fixed context: the
@@ -94,6 +101,43 @@ func (pr *problem) admissible(op int, pl arch.Placement, fixed map[int]arch.Plac
 func (pr *problem) nearParents(op int, fp grid.Rect, fixed map[int]arch.Placement) bool {
 	for _, p := range pr.parents[op] {
 		if ppl, ok := fixed[p]; ok && fp.Distance(ppl.Footprint()) > pr.d {
+			return false
+		}
+	}
+	return true
+}
+
+// admits checks one placement of op against the fixed context, the
+// per-move form of eachCandidate for a search that probes one placement
+// instead of enumerating the lattice: the fault, non-overlap,
+// storage-overlap and parent-side routing-convenient rules apply. The
+// anchor must lie in the shape's placement area; the child side is
+// nearChildren's.
+func (pr *problem) admits(op int, pl arch.Placement, fixed map[int]arch.Placement, relaxRC bool) bool {
+	if !pr.admissible(op, pl, fixed, nil, relaxRC) {
+		return false
+	}
+	fp := pl.Footprint()
+	for j, jpl := range fixed {
+		if j != op && pr.overlapsInTime(op, j) && !pr.clear(op, fp, j, jpl.Footprint()) {
+			return false
+		}
+	}
+	return true
+}
+
+// nearChildren reports whether op at pl keeps each fixed on-chip device
+// child within the routing-convenient distance. Candidate enumeration never
+// needs it (parents are placed before their children), but a search that
+// relocates a placed parent does. Ops in exempt, whose coupling was
+// relaxed, are not held to it, on either side.
+func (pr *problem) nearChildren(op int, pl arch.Placement, fixed map[int]arch.Placement, exempt map[int]bool) bool {
+	if pr.cfg.NoRoutingConvenient || exempt[op] {
+		return true
+	}
+	fp := pl.Footprint()
+	for _, c := range pr.children[op] {
+		if cpl, ok := fixed[c]; ok && !exempt[c] && fp.Distance(cpl.Footprint()) > pr.d {
 			return false
 		}
 	}

@@ -17,33 +17,12 @@ import (
 // max-pump key picks whichever wins).
 const greedyRuns = 32
 
-// greedyState carries one constructive run.
+// greedyState carries one constructive run: the shared search state and
+// the variant's knobs.
 type greedyState struct {
-	fixed map[int]arch.Placement
-	pump  []int // per-valve load, flat y·Grid+x
-	// variant knobs
-	rootOff  grid.Point
-	shapeRot int
-	noPull   bool // disable port attraction
-	// packLimit, when positive, switches the scoring into packing mode:
-	// placements may load valves up to this limit and prefer already-used
-	// valves, minimising the number of manufactured valves at equal
-	// worst-case wear.
-	packLimit int
-
-	// dropped lists operations skipped under Config.BestEffort because no
-	// candidate (even RC-relaxed) was admissible. Placing more operations
-	// always beats any other quality key.
-	dropped []int
-
-	rcRelaxed int
-	maxPump   int
-	usedCells int // distinct pump valves touched
-	sumSq     int // Σ load² over valves, the spread tie-breaker
-
-	// wearAware flips the usedCells/sumSq tie-break order: under a wear
-	// prior, spreading load away from worn valves (sumSq, which the prior
-	// inflates) matters more than the manufactured-valve count.
+	state
+	greedyVariant
+	// wearAware selects cost.less's wear-prior key order.
 	wearAware bool
 }
 
@@ -52,33 +31,31 @@ type greedyState struct {
 // operation, the packing phase still may: the drop-tolerant run reaches
 // it, and its result is kept whenever it drops nothing.
 func (pr *problem) solveGreedy(sp *obs.Span) (*Mapping, error) {
-	fixed, info, err := pr.multiStartGreedy(sp, pr.ops, map[int]arch.Placement{}, pr.seedPump())
+	fixed, c, err := pr.multiStartGreedy(sp, pr.ops, map[int]arch.Placement{}, pr.seedPump())
 	if err != nil && !pr.cfg.BestEffort {
 		tolerant := *pr
 		tolerant.cfg.BestEffort = true
-		if full, tinfo, terr := tolerant.multiStartGreedy(sp, pr.ops, map[int]arch.Placement{}, pr.seedPump()); terr == nil && len(full) == len(pr.ops) {
-			fixed, info, err = full, tinfo, nil
+		if full, tc, terr := tolerant.multiStartGreedy(sp, pr.ops, map[int]arch.Placement{}, pr.seedPump()); terr == nil && len(full) == len(pr.ops) {
+			fixed, c, err = full, tc, nil
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	return pr.finishMapping(fixed, Stats{RCRelaxed: info.rcRelaxed}), nil
-}
-
-// greedyInfo summarises a multi-start result.
-type greedyInfo struct {
-	maxPump   int
-	rcRelaxed int
+	return pr.finishMapping(fixed, Stats{RCRelaxed: c.rcRelaxed}), nil
 }
 
 // greedyVariant is one multi-start knob combination. Variants are built as
 // an explicit deduplicated list, so the multi-start loop never runs the
 // same combination twice.
 type greedyVariant struct {
-	rootOff   grid.Point
-	shapeRot  int
-	noPull    bool
+	rootOff  grid.Point
+	shapeRot int
+	noPull   bool // disable port attraction
+	// packLimit, when positive, switches the scoring into packing mode:
+	// placements may load valves up to this limit and prefer already-used
+	// valves, minimising the number of manufactured valves at equal
+	// worst-case wear.
 	packLimit int
 }
 
@@ -117,15 +94,7 @@ func (pr *problem) greedyVariants(runs int, withPull bool, packLimit int) []gree
 
 // runVariant executes one constructive run; nil state means infeasible.
 func (pr *problem) runVariant(gv greedyVariant, free []int, fixed map[int]arch.Placement, pump []int) (*greedyState, error) {
-	st := &greedyState{
-		fixed:     clonePlacements(fixed),
-		pump:      append([]int(nil), pump...),
-		rootOff:   gv.rootOff,
-		shapeRot:  gv.shapeRot,
-		noPull:    gv.noPull,
-		packLimit: gv.packLimit,
-		wearAware: pr.wearAware(),
-	}
+	st := &greedyState{state: newState(fixed, pump), greedyVariant: gv, wearAware: pr.wearAware()}
 	for _, op := range free {
 		if err := pr.greedyPlace(st, op); err != nil {
 			return nil, err
@@ -137,14 +106,14 @@ func (pr *problem) runVariant(gv greedyVariant, free []int, fixed map[int]arch.P
 // greedyDone is the multi-start early-exit rule: nothing can beat a
 // complete mapping with one pump use per valve and no relaxations.
 func greedyDone(st *greedyState) bool {
-	return st != nil && len(st.dropped) == 0 && st.maxPump <= 1 && st.rcRelaxed == 0
+	return st != nil && st.dropped == 0 && st.maxPump <= 1 && st.rcRelaxed == 0
 }
 
 // multiStartGreedy places the free operations on top of the fixed context,
 // trying several deterministic variants (root-lattice offsets × shape-order
-// rotations) and keeping the best by (max pump load, load spread, RC
-// relaxations).
-func (pr *problem) multiStartGreedy(sp *obs.Span, free []int, fixed map[int]arch.Placement, pump []int) (map[int]arch.Placement, greedyInfo, error) {
+// rotations) and keeping the best by cost; it returns the winner's
+// placements and cost.
+func (pr *problem) multiStartGreedy(sp *obs.Span, free []int, fixed map[int]arch.Placement, pump []int) (map[int]arch.Placement, cost, error) {
 	variants := pr.greedyVariants(greedyRuns, true, 0)
 	gsp := sp.Start("place.greedy",
 		obs.KV("ops", len(free)), obs.KV("variants", len(variants)))
@@ -152,7 +121,7 @@ func (pr *problem) multiStartGreedy(sp *obs.Span, free []int, fixed map[int]arch
 	if best == nil {
 		gsp.Set(obs.KV("error", "infeasible"))
 		gsp.End()
-		return nil, greedyInfo{}, firstErr
+		return nil, cost{}, firstErr
 	}
 	// Packing phase: with the achievable worst-case load known, re-place
 	// while preferring already-actuated valves up to that load — the same
@@ -167,7 +136,7 @@ func (pr *problem) multiStartGreedy(sp *obs.Span, free []int, fixed map[int]arch
 	gsp.Set(obs.KV("max_pump", best.maxPump), obs.KV("rc_relaxed", best.rcRelaxed))
 	gsp.End()
 	gsp.Metrics().Counter("place_greedy_runs_total").Add(int64(len(variants)))
-	return best.fixed, greedyInfo{maxPump: best.maxPump, rcRelaxed: best.rcRelaxed}, nil
+	return best.fixed, best.cost, nil
 }
 
 // bestVariant runs the variants in order and keeps the first state that
@@ -194,35 +163,11 @@ func (pr *problem) bestVariant(variants []greedyVariant, best *greedyState, earl
 	return best, firstErr
 }
 
-// better orders completed runs: mapping completeness first (fewest dropped
-// operations — only relevant under BestEffort), then pump quality, then
-// routing-convenient fidelity, then the number of manufactured pump valves,
-// then load spread; among remaining ties prefer the compact (port-attracted)
-// run, which needs fewer control valves.
+// better orders completed runs by cost; among equal costs it prefers the
+// compact (port-attracted) run, which needs fewer control valves.
 func (st *greedyState) better(o *greedyState) bool {
-	if len(st.dropped) != len(o.dropped) {
-		return len(st.dropped) < len(o.dropped)
-	}
-	if st.maxPump != o.maxPump {
-		return st.maxPump < o.maxPump
-	}
-	if st.rcRelaxed != o.rcRelaxed {
-		return st.rcRelaxed < o.rcRelaxed
-	}
-	if st.wearAware {
-		if st.sumSq != o.sumSq {
-			return st.sumSq < o.sumSq
-		}
-		if st.usedCells != o.usedCells {
-			return st.usedCells < o.usedCells
-		}
-	} else {
-		if st.usedCells != o.usedCells {
-			return st.usedCells < o.usedCells
-		}
-		if st.sumSq != o.sumSq {
-			return st.sumSq < o.sumSq
-		}
+	if st.cost != o.cost {
+		return st.cost.less(o.cost, st.wearAware)
 	}
 	return !st.noPull && o.noPull
 }
@@ -234,7 +179,7 @@ func (pr *problem) greedyPlace(st *greedyState, op int) error {
 		if pr.cfg.BestEffort {
 			// Partial-result mode: skip the unplaceable operation and keep
 			// going; the drop is reported through Mapping.Dropped.
-			st.dropped = append(st.dropped, op)
+			st.dropped++
 			return nil
 		}
 		return err
@@ -242,46 +187,35 @@ func (pr *problem) greedyPlace(st *greedyState, op int) error {
 	if relaxed {
 		st.rcRelaxed++
 	}
-	st.fixed[op] = pl
-	if pr.pump[op] {
-		at, offs := pr.ring(pl)
-		for _, off := range offs {
-			i := at + off
-			st.sumSq += 2*st.pump[i] + 1 // (n+1)² - n²
-			if st.pump[i] == 0 {
-				st.usedCells++
-			}
-			st.pump[i]++
-			if st.pump[i] > st.maxPump {
-				st.maxPump = st.pump[i]
-			}
-		}
-	}
+	st.place(pr, op, pl)
 	return nil
 }
 
-// greedyPick chooses the best placement for op; when the routing-convenient
-// window admits no candidate it retries with the constraint relaxed.
+// greedyPick chooses the best placement for op, scoring each candidate as
+// it is enumerated and keeping the first strict minimum; when the
+// routing-convenient window admits no candidate it retries with the
+// constraint relaxed.
 func (pr *problem) greedyPick(op int, st *greedyState) (arch.Placement, bool, error) {
+	var best arch.Placement
+	var bestKey [3]int
+	found := false
+	pick := func(pl arch.Placement) {
+		if key := pr.greedyScore(op, pl, st); !found || keyLess(key, bestKey) {
+			best, bestKey, found = pl, key, true
+		}
+	}
 	opts := candOpts{rootOff: st.rootOff, shapeRot: st.shapeRot}
-	cands := pr.candidates(op, st.fixed, opts)
+	pr.eachCandidate(op, st.fixed, opts, pick)
 	relaxed := false
-	if len(cands) == 0 {
+	if !found {
 		opts.relaxRC = true
-		cands = pr.candidates(op, st.fixed, opts)
+		pr.eachCandidate(op, st.fixed, opts, pick)
 		relaxed = true
 	}
-	if len(cands) == 0 {
+	if !found {
 		return arch.Placement{}, false, synerr.Infeasible("place",
 			"no feasible placement for %s on a %dx%d chip",
 			pr.res.Assay.Op(op).Name, pr.cfg.Grid, pr.cfg.Grid)
-	}
-	best := cands[0]
-	bestKey := pr.greedyScore(op, best, st)
-	for _, c := range cands[1:] {
-		if key := pr.greedyScore(op, c, st); keyLess(key, bestKey) {
-			best, bestKey = c, key
-		}
 	}
 	return best, relaxed, nil
 }
@@ -292,31 +226,23 @@ func (pr *problem) greedyPick(op int, st *greedyState) (arch.Placement, bool, er
 // future child, which will need to sit within distance d of both.
 func (pr *problem) greedyScore(op int, pl arch.Placement, st *greedyState) [3]int {
 	maxLoad, added := 0, 0
-	if pr.pump[op] {
+	switch {
+	case !pr.pump[op]:
+	case st.packLimit > 0:
+		// Packing mode: any load within the limit is free; prefer rings
+		// that open the fewest fresh valves.
 		at, offs := pr.ring(pl)
-		if st.packLimit > 0 {
-			// Packing mode: any load within the limit is free; prefer rings
-			// that open the fewest fresh valves.
-			over, fresh := 0, 0
-			for _, off := range offs {
-				n := st.pump[at+off]
-				if n+1 > st.packLimit {
-					over += n + 1 - st.packLimit
-				}
-				if n == 0 {
-					fresh++
-				}
+		for _, off := range offs {
+			n := st.load[at+off]
+			if n+1 > st.packLimit {
+				maxLoad += n + 1 - st.packLimit
 			}
-			maxLoad, added = over, fresh
-		} else {
-			for _, off := range offs {
-				n := st.pump[at+off]
-				if n+1 > maxLoad {
-					maxLoad = n + 1
-				}
-				added += n
+			if n == 0 {
+				added++
 			}
 		}
+	default:
+		maxLoad, added = pr.ringLoad(pl, st.load)
 	}
 	fp := pl.Footprint()
 	dist := 0
@@ -378,14 +304,6 @@ func keyLess(a, b [3]int) bool {
 		}
 	}
 	return false
-}
-
-func clonePlacements(m map[int]arch.Placement) map[int]arch.Placement {
-	out := make(map[int]arch.Placement, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // finishMapping assembles the Mapping from chosen placements. Operations

@@ -15,8 +15,6 @@ type batchOpts struct {
 	// noRC drops the routing-convenient rows and candidate pruning
 	// (feasibility fallback).
 	noRC bool
-	// maxNodes overrides the config budget when positive.
-	maxNodes int
 	// obs is the span this ILP build and solve report under (nil = off).
 	obs *obs.Span
 }
@@ -91,11 +89,11 @@ type batchGreedy struct {
 // runBatchGreedy runs the multi-start greedy over the batch once; its
 // result is the certificate candidate, the ILP incumbent and the fallback.
 func (pr *problem) runBatchGreedy(sp *obs.Span, free []int, fixed map[int]arch.Placement, pump []int) batchGreedy {
-	all, info, err := pr.multiStartGreedy(sp, free, fixed, pump)
+	all, c, err := pr.multiStartGreedy(sp, free, fixed, pump)
 	if err != nil {
 		return batchGreedy{err: err}
 	}
-	g := batchGreedy{placements: make(map[int]arch.Placement, len(free)), rcRelaxed: info.rcRelaxed}
+	g := batchGreedy{placements: make(map[int]arch.Placement, len(free)), rcRelaxed: c.rcRelaxed}
 	load := append([]int(nil), pump...)
 	for _, op := range free {
 		pl, ok := all[op]
@@ -273,12 +271,8 @@ func (pr *problem) solveModel(free []int, fixed map[int]arch.Placement, pump []i
 	incumbent := buildIncumbent(m, oms, disjs, g, w)
 
 	// 4. Solve.
-	maxNodes := pr.cfg.MaxNodes
-	if opts.maxNodes > 0 {
-		maxNodes = opts.maxNodes
-	}
 	res, err := m.Solve(milp.Options{
-		MaxNodes:  maxNodes,
+		MaxNodes:  pr.cfg.MaxNodes,
 		Timeout:   pr.cfg.SolveTimeout,
 		Ctx:       pr.ctx,
 		Incumbent: incumbent,

@@ -5,7 +5,7 @@
 // the non-overlap constraints (3)-(8), the storage-overlap relaxation (12)
 // and the routing-convenient constraints (13)-(16).
 //
-// Three mappers are provided:
+// Three modes of MapCtx are provided:
 //
 //   - Monolithic: the paper's ILP, one model for the whole assay, solved by
 //     the internal branch-and-bound solver. Exact but only tractable for
@@ -13,15 +13,19 @@
 //   - RollingHorizon (default): the same constraint system solved over
 //     batches of operations in device-creation order, with earlier
 //     placements fixed and their peristaltic load carried as constants.
+//     Monolithic is its one batch of every operation.
 //   - Greedy: a constructive heuristic used as the solver incumbent, as a
 //     candidate beside the ILP and as an ablation baseline.
 //
-// Each mode returns its own mapping; choosing between the mappings of
-// different producers is internal/core's job.
+// Anneal is the fourth mapper, seeded simulated annealing. Greedy's runs
+// and anneal's replicates share one search state and one cost order
+// (state.go). Each mapper returns its own mapping; choosing between the
+// mappings of different producers is internal/core's job.
 //
-// The storage free-space repair loop of Algorithm 1 (L4-L9) wraps all
-// three: overlaps between a storage and a parent device that exceed the
-// storage's free space are forbidden and the mapping re-runs.
+// The storage free-space repair loop of Algorithm 1 (L4-L9) wraps the three
+// modes: overlaps between a storage and a parent device that exceed the
+// storage's free space are forbidden and the mapping re-runs. The annealer
+// admits only placements that pass the free-space test, so it needs none.
 package place
 
 import (
@@ -127,9 +131,17 @@ type Config struct {
 	// modes are exact searches that agree on final incumbents and statuses,
 	// hence on placements; only the warm-versus-cold test sets it.
 	coldLP bool
+	// acceptHook, when non-nil, receives every state an Anneal replicate
+	// accepts, the initial construction included: the property tests'
+	// audit that accepted states stay conformant. The map must not be
+	// retained or mutated; clone what you keep. Only sensible with one
+	// worker (concurrent replicates would interleave calls).
+	acceptHook func(fixed map[int]arch.Placement)
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the config with every zero field replaced by its
+// default; the mappers resolve their config through it.
+func (c Config) WithDefaults() Config {
 	if c.Grid == 0 {
 		c.Grid = 10
 	}
@@ -207,7 +219,7 @@ func Map(res *schedule.Result, cfg Config) (*Mapping, error) {
 // cancelled mapping returns a synerr.ErrDeadline-compatible error instead
 // of finishing the current solve.
 func MapCtx(ctx context.Context, res *schedule.Result, cfg Config) (*Mapping, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	pr, err := newProblem(res, cfg)
 	if err != nil {
 		return nil, err
@@ -224,11 +236,11 @@ func MapCtx(ctx context.Context, res *schedule.Result, cfg Config) (*Mapping, er
 		var err error
 		switch cfg.Mode {
 		case Monolithic:
-			m, err = pr.solveMonolithic(iterSp)
+			m, err = pr.solveRolling(iterSp, len(pr.ops))
 		case Greedy:
 			m, err = pr.solveGreedy(iterSp)
 		default:
-			m, err = pr.solveRolling(iterSp)
+			m, err = pr.solveRolling(iterSp, cfg.BatchSize)
 		}
 		if err != nil {
 			iterSp.End()
@@ -277,8 +289,8 @@ type pairKey struct{ child, parent int }
 
 // problem is the shared mapping state. Every static fact of the problem is
 // built once by newProblem into a table indexed by assay op ID (0..Len-1)
-// and is read-only afterwards, so an Instance can serve concurrent
-// searches; only forbidden changes, between repair iterations.
+// and is read-only afterwards, so anneal's replicates share one problem
+// concurrently; only forbidden changes, between repair iterations.
 type problem struct {
 	res *schedule.Result
 	cfg Config

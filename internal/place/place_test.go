@@ -116,7 +116,7 @@ func TestGreedyPCR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkMapping(t, res, m, cfg.withDefaults())
+	checkMapping(t, res, m, cfg.WithDefaults())
 	if len(m.Placements) != 7 {
 		t.Fatalf("placed %d ops, want 7", len(m.Placements))
 	}
@@ -135,7 +135,7 @@ func TestRollingPCR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkMapping(t, res, m, cfg.withDefaults())
+	checkMapping(t, res, m, cfg.WithDefaults())
 	// The paper reaches vs1 = 45(40) on PCR: every valve pumps for at most
 	// one operation.
 	if m.MaxPumpOps != 1 {
@@ -158,7 +158,7 @@ func TestMonolithicPCR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkMapping(t, res, m, cfg.withDefaults())
+	checkMapping(t, res, m, cfg.WithDefaults())
 	if m.MaxPumpOps != 1 {
 		t.Errorf("monolithic MaxPumpOps = %d, want 1", m.MaxPumpOps)
 	}
@@ -180,7 +180,7 @@ func TestRollingMixingTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkMapping(t, res, m, cfg.withDefaults())
+	checkMapping(t, res, m, cfg.WithDefaults())
 	// Paper: vs1 = 93(80) → max two pump uses per valve. Allow one more
 	// for the decomposed solver.
 	if m.MaxPumpOps > 3 {
@@ -277,7 +277,7 @@ func TestDilutionChainRolling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkMapping(t, res, m, cfg.withDefaults())
+	checkMapping(t, res, m, cfg.WithDefaults())
 	if m.Stats.RCRelaxed != 0 {
 		t.Errorf("chain should not need RC relaxation, got %d", m.Stats.RCRelaxed)
 	}
@@ -306,7 +306,7 @@ func TestGreedyPackingRescuesCrowdedAssay(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Grid: 12, Mode: Greedy}
-	pr, err := newProblem(res, cfg.withDefaults())
+	pr, err := newProblem(res, cfg.WithDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestGreedyPackingRescuesCrowdedAssay(t *testing.T) {
 	if len(m.Dropped) != 0 {
 		t.Fatalf("dropped %v", m.Dropped)
 	}
-	checkMapping(t, res, m, cfg.withDefaults())
+	checkMapping(t, res, m, cfg.WithDefaults())
 }
 
 // TestGreedyVariantsDeduplicated checks the explicit variant list: no
@@ -329,7 +329,7 @@ func TestGreedyPackingRescuesCrowdedAssay(t *testing.T) {
 func TestGreedyVariantsDeduplicated(t *testing.T) {
 	sched := policySchedule(t, "PCR", 1)
 	for _, stride := range []int{1, 2, 3, 4} {
-		pr, err := newProblem(sched, Config{Grid: assays.PCR().GridSize, RootStride: stride}.withDefaults())
+		pr, err := newProblem(sched, Config{Grid: assays.PCR().GridSize, RootStride: stride}.WithDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}

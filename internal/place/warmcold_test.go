@@ -66,7 +66,7 @@ func assertWarmColdIdentical(t *testing.T, label string, sched *schedule.Result,
 			t.Errorf("%s: op %d placed at %v (warm) vs %v (cold)", label, op, pl, cold.Placements[op])
 		}
 	}
-	checkMapping(t, sched, warm, cfg.withDefaults())
+	checkMapping(t, sched, warm, cfg.WithDefaults())
 }
 
 // TestWarmColdMappingIdentical is the warm-start property at the mapper:

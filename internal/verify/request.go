@@ -23,9 +23,10 @@ import (
 //
 // Canonicalisation rules:
 //
-//   - Every defaultable option is emitted with its default applied, exactly
-//     as core.SynthesizeCtx and place.Config.withDefaults would resolve it,
-//     so a zero value and an explicitly-spelled default hash identically.
+//   - Every defaultable option is emitted with its default applied by the
+//     engine's own core.Options.WithDefaults, place.Config.WithDefaults and
+//     place.AnnealOptions.WithDefaults, so a zero value and an
+//     explicitly-spelled default hash identically.
 //   - Fields that provably never change results are excluded: Workers
 //     (the parallel engine's bit-identity contract), Trace and Place.Obs
 //     (observation never changes results).
@@ -40,7 +41,7 @@ import (
 // a request cannot be synthesised either, so it is never cacheable.
 func CanonicalRequest(a *graph.Assay, opts core.Options) (string, error) {
 	var sb strings.Builder
-	sb.WriteString("request v2\n")
+	sb.WriteString("request v3\n")
 
 	sb.WriteString("assay:\n")
 	if err := assays.Write(&sb, a); err != nil {
@@ -91,66 +92,27 @@ func writeCanonicalOptions(sb *strings.Builder, opts core.Options) {
 	}
 	fmt.Fprintf(sb, "transport_delay %d\n", delay)
 
-	pump := opts.PumpActuations
-	if pump == 0 {
-		pump = core.DefaultPumpActuations
-	}
-	fmt.Fprintf(sb, "pump_actuations %d\n", pump)
-
-	dedicated := opts.DedicatedPumpValves
-	if dedicated == 0 {
-		dedicated = core.DefaultDedicatedPumpValves
-	}
-	fmt.Fprintf(sb, "dedicated_pump_valves %d\n", dedicated)
-
+	opts = opts.WithDefaults()
+	fmt.Fprintf(sb, "pump_actuations %d\n", opts.PumpActuations)
+	fmt.Fprintf(sb, "dedicated_pump_valves %d\n", opts.DedicatedPumpValves)
 	fmt.Fprintf(sb, "disable_storage_passthrough %v\n", opts.DisableStoragePassthrough)
-
-	ripups := opts.MaxRipups
-	if ripups <= 0 {
-		ripups = 8
-	}
-	fmt.Fprintf(sb, "max_ripups %d\n", ripups)
-
+	fmt.Fprintf(sb, "max_ripups %d\n", opts.MaxRipups)
 	fmt.Fprintf(sb, "disable_degradation %v\n", opts.DisableDegradation)
 
-	p := opts.Place
-	grid := p.Grid
-	if grid == 0 {
-		grid = 10
-	}
-	batch := p.BatchSize
-	if batch == 0 {
-		batch = 6
-	}
-	maxNodes := p.MaxNodes
-	if maxNodes == 0 {
-		maxNodes = 1024
-	}
-	timeout := p.SolveTimeout
-	if timeout == 0 {
-		timeout = 120e9 // 120s, as place.Config.withDefaults resolves it
-	}
-	stride := p.RootStride
-	if stride == 0 {
-		stride = 2
-	}
+	p := opts.Place.WithDefaults()
 	fmt.Fprintf(sb, "place grid=%d mode=%s batch=%d max_nodes=%d solve_timeout_ns=%d root_stride=%d\n",
-		grid, p.Mode, batch, maxNodes, int64(timeout), stride)
+		p.Grid, p.Mode, p.BatchSize, p.MaxNodes, int64(p.SolveTimeout), p.RootStride)
 	fmt.Fprintf(sb, "place no_storage_overlap=%v no_routing_convenient=%v best_effort=%v\n",
 		p.NoStorageOverlap, p.NoRoutingConvenient, p.BestEffort)
 
 	// Wear prior: past-load placement bias changes placements, so it
-	// hashes — resolved to the per-operation units the engine seeds the
-	// mapper with, in sparse index:units form. A nil, all-zero or
-	// bias-less prior emits "none": all three are provably identical to a
-	// fresh chip.
-	prior := p.WearPrior
-	if prior == nil && opts.WearBias > 0 && len(opts.WearCounts) > 0 {
-		prior = core.WearPriorUnits(opts.WearCounts, opts.WearBias, pump)
-	}
+	// hashes — resolved by WithDefaults to the per-operation units the
+	// engine seeds the mapper with, in sparse index:units form. A nil,
+	// all-zero or bias-less prior emits "none": all three are provably
+	// identical to a fresh chip.
 	sb.WriteString("wear_prior")
 	any := false
-	for i, v := range prior {
+	for i, v := range p.WearPrior {
 		if v != 0 {
 			fmt.Fprintf(sb, " %d:%d", i, v)
 			any = true
@@ -165,8 +127,8 @@ func writeCanonicalOptions(sb *strings.Builder, opts core.Options) {
 	// priority) so the list is emitted verbatim after dedup; unknown
 	// backends make the whole line "invalid <name>" — such a request fails
 	// synthesis, so the unreachable cache entry is harmless. The anneal
-	// schedule hashes whenever the anneal backend can run: with no anneal
-	// backend the knobs provably cannot change the result and are elided.
+	// options hash whenever the anneal backend can run: with no anneal
+	// backend they provably cannot change the result and are elided.
 	backends := "none"
 	annealRuns := false
 	if bs, err := core.ParseBackends(backendsSpec(opts.Backends)); err != nil {
@@ -182,8 +144,7 @@ func writeCanonicalOptions(sb *strings.Builder, opts core.Options) {
 	fmt.Fprintf(sb, "backends %s\n", backends)
 	if annealRuns {
 		an := opts.Anneal.WithDefaults()
-		fmt.Fprintf(sb, "anneal seed=%d replicates=%d iters=%d init_temp=%g cooling=%g\n",
-			an.Seed, an.Replicates, an.Iters, an.InitTemp, an.Cooling)
+		fmt.Fprintf(sb, "anneal seed=%d replicates=%d iters=%d\n", an.Seed, an.Replicates, an.Iters)
 	}
 }
 

@@ -189,11 +189,6 @@ func TestRequestFingerprintSensitivity(t *testing.T) {
 			o.Backends = []core.Backend{core.BackendAnneal, core.BackendILP}
 			o.Anneal.Iters = 500
 		}},
-		{"anneal temperature schedule", func(o *core.Options) {
-			o.Backends = []core.Backend{core.BackendAnneal, core.BackendILP}
-			o.Anneal.InitTemp = 3
-			o.Anneal.Cooling = 0.99
-		}},
 	}
 	for _, tc := range optCases {
 		opts := baseOpts()
@@ -246,7 +241,7 @@ func TestCanonicalRequestShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"request v2\n", "assay:\n", "options:\n", "faults:\nnone\n",
+		"request v3\n", "assay:\n", "options:\n", "faults:\nnone\n",
 		"transport_delay 3\n", "pump_actuations 40\n", "max_ripups 8\n",
 		"place grid=12 mode=rolling-horizon batch=6 max_nodes=1024",
 		"backends none\n",
@@ -256,7 +251,7 @@ func TestCanonicalRequestShape(t *testing.T) {
 		}
 	}
 
-	// A portfolio request spells the priority order and the anneal schedule.
+	// A portfolio request spells the priority order and the anneal options.
 	opts := baseOpts()
 	opts.Backends = []core.Backend{core.BackendAnneal, core.BackendGreedy}
 	opts.Anneal.Seed = 5
@@ -266,10 +261,56 @@ func TestCanonicalRequestShape(t *testing.T) {
 	}
 	for _, want := range []string{
 		"backends anneal,greedy\n",
-		"anneal seed=5 replicates=8 iters=4000 init_temp=1.5 cooling=0.998\n",
+		"anneal seed=5 replicates=8 iters=4000\n",
 	} {
 		if !strings.Contains(canon, want) {
 			t.Errorf("canonical request missing %q:\n%s", want, canon)
 		}
+	}
+}
+
+// TestCanonicalRequestPinned pins one full canonical request, defaults
+// resolved by the engine included. The text is the result-cache key: a
+// change here changes every request fingerprint and must bump the header
+// version with it.
+func TestCanonicalRequestPinned(t *testing.T) {
+	opts := baseOpts()
+	opts.Backends = []core.Backend{core.BackendAnneal, core.BackendGreedy}
+	opts.Anneal.Seed = 5
+	opts.WearBias = 0.5
+	opts.WearCounts = make([]int, 144)
+	opts.WearCounts[30] = 400
+	canon, err := CanonicalRequest(testAssay(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `request v3
+assay:
+assay req-test
+op s1 input 0
+op s2 input 0
+op m1 mix 3
+op o1 output 0
+edge s1 m1 4
+edge s2 m1 4
+edge m1 o1 8
+options:
+policy detectors=1 mixers=8:1
+transport_delay 3
+pump_actuations 40
+dedicated_pump_valves 3
+disable_storage_passthrough false
+max_ripups 8
+disable_degradation false
+place grid=12 mode=rolling-horizon batch=6 max_nodes=1024 solve_timeout_ns=120000000000 root_stride=2
+place no_storage_overlap=false no_routing_convenient=false best_effort=false
+wear_prior 30:5
+backends anneal,greedy
+anneal seed=5 replicates=8 iters=4000
+faults:
+none
+`
+	if canon != want {
+		t.Errorf("canonical request changed:\n%s\nwant:\n%s", canon, want)
 	}
 }
